@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
- * the symbolic algebra, the sectored cache, the page table, the
+ * the symbolic algebra, the sectored cache (L1-hit and L2-miss paths at
+ * the multi-gpu-4x4 geometry), the MSHR table, the page table, the
  * bandwidth servers, and trace generation. These gate the wall-clock
  * cost of the figure harnesses, not any paper result.
  */
@@ -14,6 +15,7 @@
 #include "kernel/expr.hh"
 #include "mem/page_table.hh"
 #include "mem/placement.hh"
+#include "sim/mshr_table.hh"
 #include "workloads/access_gen.hh"
 
 namespace ladm
@@ -58,6 +60,80 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+// The multi-gpu-4x4 geometry: 64 KiB 4-way L1 per SM, 1 MiB 16-way L2
+// per chiplet.
+constexpr Bytes kL1Bytes = 64 * 1024;
+constexpr int kL1Assoc = 4;
+constexpr Bytes kL2Bytes = 1 << 20;
+constexpr int kL2Assoc = 16;
+
+void
+BM_CacheL1Hit(benchmark::State &state)
+{
+    // A 16 KiB working set (a quarter of the L1), all resident: every
+    // timed access is a full hit.
+    SectoredCache l1(kL1Bytes, kL1Assoc, "l1");
+    Rng rng(3);
+    std::vector<Addr> addrs(8192);
+    for (auto &a : addrs)
+        a = 0x100000 +
+            rng.nextBounded(16 * 1024 / kSectorSize) * kSectorSize;
+    for (Addr a : addrs)
+        l1.access(a, false, true);
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(l1.access(addrs[i++ & 8191], false, true));
+}
+BENCHMARK(BM_CacheL1Hit);
+
+void
+BM_CacheL2Miss(benchmark::State &state)
+{
+    // Random sectors over 256 MiB, 256x the L2: nearly every access
+    // misses, allocates and evicts an LRU victim.
+    SectoredCache l2(kL2Bytes, kL2Assoc, "l2");
+    Rng rng(4);
+    std::vector<Addr> addrs(1 << 16);
+    for (auto &a : addrs)
+        a = rng.nextBounded(Addr{256} << 20) & ~(kSectorSize - 1);
+    size_t i = 0;
+    EvictInfo ev;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            l2.access(addrs[i++ & 0xFFFF], false, true, &ev));
+    }
+    benchmark::DoNotOptimize(ev);
+}
+BENCHMARK(BM_CacheL2Miss);
+
+void
+BM_MshrLocateInsert(benchmark::State &state)
+{
+    // The miss path's probe-then-record pair at a steady live set: one
+    // miss per cycle on a 32K-sector pool, each in flight 200..999
+    // cycles, so about 600 entries are live and the table sweeps its
+    // expired ones as it goes. Re-missed sectors still in flight merge.
+    MshrTable t;
+    Rng rng(5);
+    std::vector<Addr> addrs(1 << 16);
+    for (auto &a : addrs)
+        a = rng.nextBounded(32768) * kSectorSize;
+    Cycles now = 0;
+    uint64_t merges = 0;
+    for (auto _ : state) {
+        const Addr a = addrs[now & 0xFFFF];
+        const MshrTable::Ref r = t.locate(a);
+        if (r.found && t.readyAt(r) > now)
+            ++merges;
+        else
+            t.insertAt(r, a, now + 200 + (now * 7919) % 800, now);
+        ++now;
+    }
+    benchmark::DoNotOptimize(merges);
+    state.counters["capacity"] = static_cast<double>(t.capacity());
+}
+BENCHMARK(BM_MshrLocateInsert);
 
 void
 BM_PageTableLookup(benchmark::State &state)

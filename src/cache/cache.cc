@@ -2,6 +2,7 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "common/sim_error.hh"
 #include "mem/address.hh"
 #include "telemetry/stat_registry.hh"
 
@@ -35,8 +36,7 @@ SectoredCache::SectoredCache(Bytes size, int assoc, std::string name)
                 "cache '", name_, "': size ", size,
                 " not a multiple of assoc*line");
     numSets_ = size / set_bytes;
-    tags_.assign(numSets_ * assoc_, kNoLine);
-    meta_.resize(numSets_ * assoc_);
+    ways_.resize(numSets_ * assoc_);
     if (isPowerOfTwo(numSets_)) {
         int shift = 0;
         while ((size_t(1) << shift) < numSets_)
@@ -50,23 +50,18 @@ SectoredCache::SectoredCache(Bytes size, int assoc, std::string name)
     }
 }
 
-
-
-
-
 uint64_t
 SectoredCache::invalidateRange(Addr lo, Addr hi)
 {
     uint64_t dropped = 0;
     for (Addr line = lineBase(lo); line < hi; line += kLineSize) {
-        const size_t base = setIndex(line) * assoc_;
+        Way *const set = &ways_[setIndex(line) * assoc_];
         for (int i = 0; i < assoc_; ++i) {
-            if (tags_[base + i] != line)
+            if (set[i].tag != line)
                 continue;
             dropped += static_cast<uint64_t>(
-                __builtin_popcount(meta_[base + i].sectorValid));
-            tags_[base + i] = kNoLine;
-            meta_[base + i] = WayMeta{};
+                __builtin_popcount(validOf(set[i].meta)));
+            set[i] = Way{};
             break;
         }
     }
@@ -76,16 +71,25 @@ SectoredCache::invalidateRange(Addr lo, Addr hi)
 uint64_t
 SectoredCache::invalidateAll()
 {
+    if (!populated_)
+        return 0;
     uint64_t dirty = 0;
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] != kNoLine) {
+    for (Way &w : ways_) {
+        if (w.tag != kNoLine)
             dirty += static_cast<uint64_t>(
-                __builtin_popcount(meta_[i].sectorDirty));
-        }
-        tags_[i] = kNoLine;
-        meta_[i] = WayMeta{};
+                __builtin_popcount(dirtyOf(w.meta)));
+        w = Way{};
     }
+    populated_ = false;
     return dirty;
+}
+
+void
+SectoredCache::checkStampHeadroom() const
+{
+    ladm_require(useClock_ < kStampHeadroom, "cache '", name_,
+                 "': LRU clock ", useClock_,
+                 " nears the 48-bit stamp limit");
 }
 
 void

@@ -17,6 +17,7 @@
 #define LADM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,32 @@ struct EvictInfo
     bool evicted = false;     ///< a valid victim line was displaced
     Addr lineAddr = 0;        ///< victim's line base address
     uint8_t dirtyMask = 0;    ///< victim's dirty sectors (bit per sector)
+};
+
+/** Allocator that starts every array on a 64-byte host cache line. */
+template <typename T>
+struct HostLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    HostLineAllocator() = default;
+    template <typename U>
+    HostLineAllocator(const HostLineAllocator<U> &)
+    {
+    }
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T *p, size_t) { ::operator delete(p, kAlign); }
+    template <typename U>
+    bool
+    operator==(const HostLineAllocator<U> &) const
+    {
+        return true;
+    }
 };
 
 class SectoredCache
@@ -133,6 +160,17 @@ class SectoredCache
     size_t numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
 
+    /**
+     * Refuse to run once the LRU clock nears the 48-bit stamp field. A
+     * kernel cannot make 2^47 accesses, so checking once per kernel
+     * keeps the check off the access path.
+     * @throws SimError when the clock has passed 2^47.
+     */
+    void checkStampHeadroom() const;
+
+    /** Test hook: advance the LRU clock by @p n without accessing. */
+    void debugAdvanceClock(uint64_t n) { useClock_ += n; }
+
     /** Checkpoint tags/metadata/LRU clock (snapshot/component_state.cc). */
     void saveState(serial::Writer &w) const;
     void loadState(serial::Reader &r);
@@ -148,13 +186,28 @@ class SectoredCache
      */
     static constexpr Addr kNoLine = ~Addr{0};
 
-    /** Per-way state other than the tag (see layout note below). */
-    struct WayMeta
+    /**
+     * One way in 16 bytes: the tag, then the valid-sector byte, the
+     * dirty-sector byte and a 48-bit LRU stamp packed into one word.
+     */
+    struct Way
     {
-        uint8_t sectorValid = 0; // bit per sector
-        uint8_t sectorDirty = 0;
-        uint64_t lastUse = 0;    // LRU timestamp
+        Addr tag = kNoLine;
+        uint64_t meta = 0;
     };
+    static constexpr int kDirtyShift = 8;
+    static constexpr int kStampShift = 16;
+    static constexpr uint64_t kFlagsMask = (uint64_t{1} << kStampShift) - 1;
+    /** checkStampHeadroom() refuses a clock past this. */
+    static constexpr uint64_t kStampHeadroom = uint64_t{1} << 47;
+
+    static uint8_t validOf(uint64_t m) { return static_cast<uint8_t>(m); }
+    static uint8_t
+    dirtyOf(uint64_t m)
+    {
+        return static_cast<uint8_t>(m >> kDirtyShift);
+    }
+    static uint64_t stampOf(uint64_t m) { return m >> kStampShift; }
 
     size_t setIndex(Addr line_addr) const;
 
@@ -162,18 +215,17 @@ class SectoredCache
     int assoc_;
     size_t numSets_ = 0;
     /**
-     * Structure-of-arrays, set-major: the tag scan -- which every
-     * lookup pays across all assoc_ ways -- touches a dense 8-byte
-     * array (two cache lines for a 16-way L2 set) instead of dragging
-     * the LRU/sector metadata through it; the metadata is only touched
-     * for the one way that matches (or the victim).
+     * Set-major way array. A set starts on a 64-byte boundary whenever
+     * assoc is a multiple of 4, so a 4-way L1 set is one host cache line
+     * and a lookup's tag scan and metadata update share it.
      */
-    std::vector<Addr> tags_;     // kNoLine = empty way
-    std::vector<WayMeta> meta_;  // parallel to tags_
+    std::vector<Way, HostLineAllocator<Way>> ways_;
     /** log2(numSets_) when it is a power of two, else -1 (slow path). */
     int setShift_ = -1;
     uint64_t setMask_ = 0;
     uint64_t useClock_ = 0;
+    /** A line may have been allocated since the last invalidateAll(). */
+    bool populated_ = false;
 
     uint64_t accesses_ = 0;
     uint64_t hits_ = 0;
@@ -210,7 +262,7 @@ SectoredCache::setIndex(Addr line_addr) const
 inline void
 SectoredCache::prefetchSet(Addr addr) const
 {
-    __builtin_prefetch(&tags_[setIndex(lineBase(addr)) * assoc_]);
+    __builtin_prefetch(&ways_[setIndex(lineBase(addr)) * assoc_]);
 }
 
 inline AccessResult
@@ -222,31 +274,30 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
 
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
-    Addr *const tags = &tags_[base];
+    const uint64_t sbit = uint64_t{1} << sector;
+    const uint64_t dbit = sbit << kDirtyShift;
+    const uint64_t stamp = useClock_ << kStampShift;
+    Way *const set = &ways_[setIndex(line) * assoc_];
 
     for (int i = 0; i < assoc_; ++i) {
-        if (tags[i] == line) {
-            WayMeta &w = meta_[base + i];
-            w.lastUse = useClock_;
-            if (w.sectorValid & sbit) {
-                if (is_write)
-                    w.sectorDirty |= sbit;
-                ++hits_;
-                return AccessResult::Hit;
-            }
-            // Tag hit, sector absent: fill just the sector.
-            ++sectorMisses_;
-            if (allocate) {
-                w.sectorValid |= sbit;
-                if (is_write)
-                    w.sectorDirty |= sbit;
-            } else {
-                ++bypasses_;
-            }
-            return AccessResult::SectorMiss;
+        if (set[i].tag != line)
+            continue;
+        uint64_t flags = set[i].meta & kFlagsMask;
+        if (flags & sbit) {
+            if (is_write)
+                flags |= dbit;
+            set[i].meta = stamp | flags;
+            ++hits_;
+            return AccessResult::Hit;
         }
+        // Tag hit, sector absent: fill just the sector.
+        ++sectorMisses_;
+        if (allocate)
+            flags |= is_write ? sbit | dbit : sbit;
+        else
+            ++bypasses_;
+        set[i].meta = stamp | flags;
+        return AccessResult::SectorMiss;
     }
 
     ++lineMisses_;
@@ -258,23 +309,22 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
     // Pick the LRU victim (preferring an invalid way).
     int victim = 0;
     for (int i = 0; i < assoc_; ++i) {
-        if (tags[i] == kNoLine) {
+        if (set[i].tag == kNoLine) {
             victim = i;
             break;
         }
-        if (meta_[base + i].lastUse < meta_[base + victim].lastUse)
+        if (stampOf(set[i].meta) < stampOf(set[victim].meta))
             victim = i;
     }
-    WayMeta &w = meta_[base + victim];
-    if (tags[victim] != kNoLine && evict) {
+    Way &w = set[victim];
+    if (w.tag != kNoLine && evict) {
         evict->evicted = true;
-        evict->lineAddr = tags[victim];
-        evict->dirtyMask = w.sectorDirty;
+        evict->lineAddr = w.tag;
+        evict->dirtyMask = dirtyOf(w.meta);
     }
-    tags[victim] = line;
-    w.sectorValid = sbit;
-    w.sectorDirty = is_write ? sbit : 0;
-    w.lastUse = useClock_;
+    w.tag = line;
+    w.meta = stamp | (is_write ? sbit | dbit : sbit);
+    populated_ = true;
     return AccessResult::Miss;
 }
 
@@ -283,11 +333,10 @@ SectoredCache::probe(Addr addr) const
 {
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
+    const Way *const set = &ways_[setIndex(line) * assoc_];
     for (int i = 0; i < assoc_; ++i) {
-        if (tags_[base + i] == line)
-            return (meta_[base + i].sectorValid & sbit) != 0;
+        if (set[i].tag == line)
+            return (set[i].meta >> sector) & 1;
     }
     return false;
 }
@@ -297,19 +346,16 @@ SectoredCache::invalidateSector(Addr addr)
 {
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
+    const uint64_t sbit = uint64_t{1} << sector;
+    Way *const set = &ways_[setIndex(line) * assoc_];
     for (int i = 0; i < assoc_; ++i) {
-        if (tags_[base + i] != line)
+        Way &w = set[i];
+        if (w.tag != line)
             continue;
-        WayMeta &w = meta_[base + i];
-        const bool present = (w.sectorValid & sbit) != 0;
-        w.sectorValid &= static_cast<uint8_t>(~sbit);
-        w.sectorDirty &= static_cast<uint8_t>(~sbit);
-        if (w.sectorValid == 0) {
-            tags_[base + i] = kNoLine;
-            w = WayMeta{};
-        }
+        const bool present = (w.meta & sbit) != 0;
+        w.meta &= ~(sbit | sbit << kDirtyShift);
+        if (validOf(w.meta) == 0)
+            w = Way{};
         return present;
     }
     return false;

@@ -41,7 +41,7 @@ namespace serial
 uint32_t crc32(const void *data, size_t n);
 
 /** Current checkpoint format version; bump on any layout change. */
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 
 class Writer
 {
@@ -62,9 +62,9 @@ class Writer
         raw(s.data(), s.size());
     }
     /** Length-prefixed vector of trivially-copyable elements. */
-    template <typename T>
+    template <typename T, typename A>
     void
-    vec(const std::vector<T> &v)
+    vec(const std::vector<T, A> &v)
     {
         u64(v.size());
         raw(v.data(), v.size() * sizeof(T));
@@ -138,14 +138,15 @@ class Reader
         return v;
     }
     std::string str();
-    template <typename T>
+    template <typename T, typename A>
     void
-    vec(std::vector<T> &out)
+    vec(std::vector<T, A> &out)
     {
         const uint64_t n = u64();
         checkCount(n, sizeof(T));
         out.resize(static_cast<size_t>(n));
-        raw(out.data(), out.size() * sizeof(T));
+        if (!out.empty()) // an empty vector's data() may be null
+            raw(out.data(), out.size() * sizeof(T));
     }
 
   private:

@@ -35,6 +35,14 @@ struct Allocation
     bool contains(Addr a) const { return a >= base && a < end(); }
 };
 
+/**
+ * Exclusive upper bound of the simulated address space (128 GiB less one
+ * sector). Sector indices stay below 2^32 - 1, so a sector key (index
+ * + 1) fits the MSHR table's 32-bit slots; MallocRegistry refuses any
+ * allocation that would end past it.
+ */
+constexpr Addr kMaxSimAddr = ((Addr{1} << 32) - 1) * kSectorSize;
+
 /** Page number of an address for the given page size. */
 inline uint64_t
 pageOf(Addr a, Bytes page_size)

@@ -21,6 +21,10 @@ MallocRegistry::mallocManaged(uint64_t malloc_pc, Bytes size,
         ladm_require(a.mallocPc != malloc_pc, "duplicate MallocPC ",
                      malloc_pc, " ('", a.name, "' vs '", name, "')");
     }
+    ladm_require(size <= kMaxSimAddr && next_ <= kMaxSimAddr - size,
+                 "allocation '", name, "' of ", size,
+                 " bytes at address ", next_,
+                 " ends past the 128 GiB simulated address space");
     Allocation a;
     a.mallocPc = malloc_pc;
     a.base = next_;

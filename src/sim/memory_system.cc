@@ -47,7 +47,6 @@ MemorySystem::MemorySystem(const SystemConfig &cfg)
     dram_.reserve(static_cast<size_t>(nodes) * channels);
     xbar_.reserve(nodes);
     pending_.resize(nodes);
-    pendingSweepAt_.assign(nodes, kSweepFloor);
     const double chan_bpc =
         cfg_.bytesPerCycle(cfg_.memBwPerChipletGBs) / channels;
     const double xbar_bpc = cfg_.bytesPerCycle(cfg_.intraChipletXbarGBs);
@@ -306,19 +305,8 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
                 obs_link, obs_dram, delay);
     }
 
-    // Bound the outstanding-miss table: expired entries are dead
-    // weight. The sweep is amortized -- after each pass the next
-    // watermark doubles from whatever survived, so a table full of
-    // still-in-flight entries cannot trigger an O(n) scan per access.
     const Cycles done = now + delay;
-    if (pend.size() >= pendingSweepAt_[node]) {
-        pend.sweepExpired(now);
-        pendingSweepAt_[node] =
-            std::max<size_t>(2 * pend.size(), kSweepFloor);
-        pend.insert(addr, done); // the sweep invalidated the Ref
-    } else {
-        pend.insertAt(mshr, addr, done);
-    }
+    pend.insertAt(mshr, addr, done, now);
     return done;
 }
 
@@ -568,7 +556,16 @@ MemorySystem::checkDrained(Cycles now) const
 void
 MemorySystem::debugInjectPending(NodeId node, Addr addr, Cycles readyAt)
 {
-    pending_[node].insert(sectorBase(addr), readyAt);
+    pending_[node].insert(sectorBase(addr), readyAt, 0);
+}
+
+void
+MemorySystem::checkStampHeadroom() const
+{
+    for (const SectoredCache &c : l1_)
+        c.checkStampHeadroom();
+    for (const SectoredCache &c : l2_)
+        c.checkStampHeadroom();
 }
 
 void
@@ -664,7 +661,6 @@ MemorySystem::resetStats()
     // merges with timestamps from the previous one.
     for (auto &p : pending_)
         p.clear();
-    pendingSweepAt_.assign(pendingSweepAt_.size(), kSweepFloor);
 }
 
 // --- sharded (conservative-PDES) access path -----------------------------
@@ -756,14 +752,7 @@ MemorySystem::shardAccess(ShardLane &lane, Cycles now, SmId sm, Addr addr,
         ctr.delayDram += d;
         delay += d;
         const Cycles done = now + delay;
-        if (pend.size() >= pendingSweepAt_[node]) {
-            pend.sweepExpired(now);
-            pendingSweepAt_[node] =
-                std::max<size_t>(2 * pend.size(), kSweepFloor);
-            pend.insert(addr, done);
-        } else {
-            pend.insertAt(mshr, addr, done);
-        }
+        pend.insertAt(mshr, addr, done, now);
         return {done, kShardNoOp};
     }
 
@@ -798,19 +787,6 @@ MemorySystem::shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
 }
 
 void
-MemorySystem::insertPendingSwept(NodeId node, Addr addr, Cycles now,
-                                 Cycles done)
-{
-    auto &pend = pending_[node];
-    if (pend.size() >= pendingSweepAt_[node]) {
-        pend.sweepExpired(now);
-        pendingSweepAt_[node] =
-            std::max<size_t>(2 * pend.size(), kSweepFloor);
-    }
-    pend.insert(addr, done);
-}
-
-void
 MemorySystem::execRemoteLeg(ShardOp &op)
 {
     const NodeId node = op.node;
@@ -842,7 +818,7 @@ MemorySystem::execRemoteLeg(ShardOp &op)
         delay += d;
     }
     op.done = op.time + delay;
-    insertPendingSwept(node, op.addr, op.time, op.done);
+    pending_[node].insert(op.addr, op.done, op.time);
 }
 
 void
@@ -868,7 +844,7 @@ MemorySystem::finishShardFetch(ShardOp &op)
         ctr_[node].delayDram += d;
         op.partial += d;
         op.done = op.time + op.partial;
-        insertPendingSwept(node, op.addr, op.time, op.done);
+        pending_[node].insert(op.addr, op.done, op.time);
         return;
     }
     ++fetchRemote_[node];

@@ -190,6 +190,13 @@ class MemorySystem
     void flushCaches();
 
     /**
+     * Per-kernel limit check: every cache's LRU clock must be far from
+     * its 48-bit stamp field (SectoredCache::checkStampHeadroom()).
+     * @throws SimError naming the first cache past the limit.
+     */
+    void checkStampHeadroom() const;
+
+    /**
      * Invariant check at a drain point (end of kernel, end of run): no
      * outstanding miss may complete after @p now, and no mapped page may
      * home outside the machine. A violation here means an MSHR entry
@@ -380,10 +387,6 @@ class MemorySystem
     void finishShardFetch(ShardOp &op);
     /** Serial phase: both fabric legs + home-side L2/DRAM of a fetch. */
     void execRemoteLeg(ShardOp &op);
-    /** Amortized-sweep pending-table insert shared by the deferred path. */
-    void insertPendingSwept(NodeId node, Addr addr, Cycles now,
-                            Cycles done);
-
     void
     countClass(NodeId origin, NodeId home, NodeId here, bool hit)
     {
@@ -435,17 +438,6 @@ class MemorySystem
 
     /** Outstanding-miss table per node: sector -> data-ready cycle. */
     std::vector<MshrTable> pending_;
-    /**
-     * Sweep floor for the outstanding-miss tables: a node's table is
-     * swept of expired entries once it reaches this size. Expired
-     * entries can never satisfy a merge (`now` is globally monotone),
-     * so the floor is pure performance policy: 64K keeps the table
-     * within ~2MB and its probes cache-resident, where a higher floor
-     * lets it balloon to tens of MB of dead entries.
-     */
-    static constexpr size_t kSweepFloor = size_t{1} << 16;
-    /** Per-node size watermark for the amortized pending-table sweep. */
-    std::vector<size_t> pendingSweepAt_;
     /** nodeOfSm() hoisted into a table, built once per topology. */
     std::vector<NodeId> smNode_;
     /** max(1, cfg.dramChannelsPerChiplet), hoisted for dramFor(). */

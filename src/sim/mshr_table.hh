@@ -5,23 +5,28 @@
  *
  * One probe of this table sits on every L1-missing access, so it is an
  * open-addressed, power-of-two hash table with linear probing and
- * backward-shift deletion (no tombstones: a delete compacts the probe
- * chain, so load never degrades from churn). Fibonacci hashing spreads
- * the sector-aligned keys.
+ * Fibonacci hashing. Entries are never deleted one by one, so there are
+ * no tombstones: expiry rebuilds the table.
  *
- * A slot's 64-bit tag packs a 16-bit generation above the 48-bit key
- * (addr + 1, so a zeroed slot can never match): a slot is live only if
- * its generation matches the table's. That makes clear() -- called at
- * every kernel-boundary cache flush -- O(1): bump the generation and
- * every resident entry becomes logically empty in place. The allocation
- * is retained at its high-water mark (bounded by kRetainCapacity), so a
- * table that ballooned during one kernel neither re-pays the grow/rehash
- * doubling ladder on the next one nor zeroes megabytes per flush. Peak
- * memory is unchanged -- the table reached that size while live anyway.
+ * A slot is 8 bytes: a 32-bit sector key (sector index + 1, so a zeroed
+ * slot is empty) and the 32-bit ready cycle as an offset from a
+ * per-table base. Addresses are bounded by kMaxSimAddr (the allocator
+ * enforces it) and in-flight latencies are far below 2^32 cycles, so
+ * neither field can alias.
  *
- * Semantically this is exactly the unordered_map it replaces: find /
- * upsert / erase / size / clear plus an expiry sweep, and the owner
- * (MemorySystem) keeps the amortized sweep-watermark policy unchanged.
+ * The table owns expiry. An entry whose ready cycle is at or before the
+ * current cycle can never satisfy a merge again (lookup times never go
+ * backwards on a node), so it is dead weight. An insert that would pass
+ * 3/4 load first sweeps the dead entries and advances the base to the
+ * sweep's cycle; the table doubles only if live entries still fill half
+ * of it. Capacity therefore tracks the live set (at most 4x its peak),
+ * not the number of distinct sectors a run has missed on, and a sweep
+ * is paid for by the quarter-table of inserts before it.
+ *
+ * Semantically this is the unordered_map it replaces, with expired
+ * entries dropped at unspecified times. A lookup no earlier than every
+ * insert's current cycle cannot tell: a dropped entry was ready at or
+ * before it, so it would not have merged.
  */
 
 #ifndef LADM_SIM_MSHR_TABLE_HH
@@ -31,9 +36,12 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/sim_error.hh"
 #include "common/types.hh"
+#include "mem/address.hh"
 
 namespace ladm
 {
@@ -49,35 +57,31 @@ class MshrTable
   public:
     MshrTable() { reset(kMinCapacity); }
 
-    /** Data-ready cycle of an in-flight miss on @p addr, or nullptr. */
-    Cycles *
-    find(Addr addr)
+    /** Data-ready cycle of an in-flight miss on @p addr, if any. */
+    std::optional<Cycles>
+    find(Addr addr) const
     {
-        const uint64_t tag = genBase_ | (addr + 1);
-        for (size_t i = indexOf(addr);; i = (i + 1) & mask_) {
-            if (slots_[i].tag == tag)
-                return &slots_[i].ready;
-            if (emptySlot(i))
-                return nullptr;
-        }
+        const Ref r = locate(addr);
+        if (!r.found)
+            return std::nullopt;
+        return readyAt(r);
     }
 
     /**
      * Hint the CPU to pull @p addr's home slot into cache ahead of the
-     * locate() that follows -- the table is megabytes, so the probe is
-     * a near-certain cache miss whose latency this hides behind the L1
-     * lookup. No architectural effect.
+     * locate() that follows, hiding the probe's miss latency behind the
+     * L1 lookup. No architectural effect.
      */
     void
     prefetch(Addr addr) const
     {
-        __builtin_prefetch(&slots_[indexOf(addr)]);
+        __builtin_prefetch(&slots_[indexOf(keyOf(addr))]);
     }
 
     /**
      * Position handle from locate(): either the slot holding the key or
      * the empty slot terminating its probe chain. Valid only until the
-     * next mutation (insert / erase / sweep / clear / grow).
+     * next mutation (insert / clear).
      */
     struct Ref
     {
@@ -87,94 +91,54 @@ class MshrTable
 
     /** Single-probe lookup whose result can later feed insertAt(). */
     Ref
-    locate(Addr addr)
+    locate(Addr addr) const
     {
-        const uint64_t tag = genBase_ | (addr + 1);
-        for (size_t i = indexOf(addr);; i = (i + 1) & mask_) {
-            if (slots_[i].tag == tag)
+        const uint32_t key = keyOf(addr);
+        for (size_t i = indexOf(key);; i = (i + 1) & mask_) {
+            if (slots_[i].key == key)
                 return {i, true};
-            if (emptySlot(i))
+            if (slots_[i].key == 0)
                 return {i, false};
         }
     }
 
     /** Completion cycle at a located slot (@p r must have found set). */
-    Cycles readyAt(Ref r) const { return slots_[r.index].ready; }
+    Cycles readyAt(Ref r) const { return base_ + slots_[r.index].ready; }
 
     /**
      * Insert or overwrite @p addr using a Ref from locate() with no
      * intervening mutation -- the second probe of a find-then-insert
-     * pair collapses into a slot store. Equivalent to insert(): an
-     * overwrite reuses the found slot (same home bucket, so probe
-     * chains stay intact), a fresh key fills the chain-ending empty
-     * slot; only a load-factor grow falls back to a full re-probe.
+     * pair collapses into a slot store. @p now is the current cycle:
+     * the horizon at or before which entries have expired, should this
+     * insert need room. A ready cycle at or before the base is stored
+     * as the base; both are already expired for every later lookup.
+     * @throws SimError if @p ready is 2^32 or more cycles past @p now.
      */
     void
-    insertAt(Ref r, Addr addr, Cycles ready)
+    insertAt(Ref r, Addr addr, Cycles ready, Cycles now)
     {
-        assert((addr >> kGenShift) == 0 && "address exceeds tag space");
-        if (r.found) {
-            slots_[r.index].ready = ready;
-            return;
-        }
-        if ((size_ + 1) * 4 > slots_.size() * 3) { // load factor 3/4
-            grow();
-            insert(addr, ready);
-            return;
-        }
-        slots_[r.index] = Slot{genBase_ | (addr + 1), ready};
-        ++size_;
-    }
-
-    /** Insert or overwrite the completion cycle for @p addr. */
-    void
-    insert(Addr addr, Cycles ready)
-    {
-        assert((addr >> kGenShift) == 0 && "address exceeds tag space");
-        if ((size_ + 1) * 4 > slots_.size() * 3) // load factor 3/4
-            grow();
-        const uint64_t tag = genBase_ | (addr + 1);
-        for (size_t i = indexOf(addr);; i = (i + 1) & mask_) {
-            if (slots_[i].tag == tag) {
-                slots_[i].ready = ready;
+        const Cycles off = ready > base_ ? ready - base_ : 0;
+        if (off <= UINT32_MAX) [[likely]] {
+            if (r.found) {
+                slots_[r.index].ready = static_cast<uint32_t>(off);
                 return;
             }
-            if (emptySlot(i)) {
-                slots_[i] = Slot{tag, ready};
+            if ((size_ + 1) * 4 <= slots_.size() * 3) { // load <= 3/4
+                slots_[r.index] = Slot{keyOf(addr),
+                                       static_cast<uint32_t>(off)};
                 ++size_;
                 return;
             }
         }
+        makeRoom(now, ready);
+        insertAt(locate(addr), addr, ready, now);
     }
 
-    /** Remove @p addr if present, compacting its probe chain. */
+    /** Insert or overwrite the completion cycle for @p addr. */
     void
-    erase(Addr addr)
+    insert(Addr addr, Cycles ready, Cycles now)
     {
-        const uint64_t tag = genBase_ | (addr + 1);
-        for (size_t i = indexOf(addr);; i = (i + 1) & mask_) {
-            if (slots_[i].tag == tag) {
-                eraseSlot(i);
-                return;
-            }
-            if (emptySlot(i))
-                return;
-        }
-    }
-
-    /** Drop every entry whose completion cycle is at or before @p now. */
-    void
-    sweepExpired(Cycles now)
-    {
-        // Backward-shift deletion can pull a later chain member into the
-        // just-erased slot, so the cursor only advances when the slot
-        // under it survives.
-        for (size_t i = 0; i < slots_.size();) {
-            if (!emptySlot(i) && slots_[i].ready <= now)
-                eraseSlot(i);
-            else
-                ++i;
-        }
+        insertAt(locate(addr), addr, ready, now);
     }
 
     /** Visit every (addr, ready) entry; @p f must not mutate the table. */
@@ -183,29 +147,23 @@ class MshrTable
     forEach(F &&f) const
     {
         for (const Slot &s : slots_)
-            if ((s.tag >> kGenShift) == gen_)
-                f(static_cast<Addr>((s.tag & kAddrMask) - 1), s.ready);
+            if (s.key != 0)
+                f(static_cast<Addr>(s.key - 1) * kSectorSize,
+                  base_ + s.ready);
     }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slot count: a power of two, at most 4x the peak live set. */
+    size_t capacity() const { return slots_.size(); }
 
+    /** Drop every entry (kernel-boundary flush). */
     void
     clear()
     {
-        // O(1): advancing the generation orphans every resident entry
-        // in place. The allocation is retained (up to kRetainCapacity)
-        // so the next kernel neither re-pays the grow ladder nor zeroes
-        // the array. Capacity is invisible to lookups, so this is pure
-        // performance policy.
-        if (slots_.size() > kRetainCapacity) {
-            reset(kRetainCapacity);
-        } else if (++gen_ > kMaxGen) {
-            gen_ = 1;
-            std::fill(slots_.begin(), slots_.end(), Slot{});
-        }
-        genBase_ = static_cast<uint64_t>(gen_) << kGenShift;
+        std::fill(slots_.begin(), slots_.end(), Slot{});
         size_ = 0;
+        base_ = 0;
     }
 
     /** Checkpoint the slot array verbatim (snapshot/component_state.cc). */
@@ -215,30 +173,24 @@ class MshrTable
   private:
     struct Slot
     {
-        uint64_t tag = 0; ///< gen << 48 | (addr + 1); stale gen = empty
-        Cycles ready = 0;
+        uint32_t key = 0;   ///< sector index + 1; 0 = empty
+        uint32_t ready = 0; ///< ready cycle - base_
     };
 
     static constexpr size_t kMinCapacity = 1024; // power of two
-    /** clear() keeps the allocation up to this many slots (32 MiB). */
-    static constexpr size_t kRetainCapacity = size_t{1} << 21;
-    static constexpr int kGenShift = 48;
-    static constexpr uint64_t kAddrMask =
-        (uint64_t{1} << kGenShift) - 1;
-    static constexpr uint64_t kMaxGen = 0xFFFF;
 
-    /** Live slots carry the current generation in their top tag bits. */
-    bool
-    emptySlot(size_t i) const
+    static uint32_t
+    keyOf(Addr addr)
     {
-        return (slots_[i].tag >> kGenShift) != gen_;
+        assert(addr < kMaxSimAddr && "address exceeds MSHR key space");
+        return static_cast<uint32_t>(addr / kSectorSize) + 1;
     }
 
     size_t
-    indexOf(Addr addr) const
+    indexOf(uint32_t key) const
     {
         // Fibonacci hashing: multiply by 2^64/phi and keep the top bits.
-        const uint64_t h = (addr >> 5) * UINT64_C(0x9E3779B97F4A7C15);
+        const uint64_t h = key * UINT64_C(0x9E3779B97F4A7C15);
         return static_cast<size_t>(h >> shift_) & mask_;
     }
 
@@ -250,49 +202,64 @@ class MshrTable
         shift_ = 1;
         while ((size_t(1) << (64 - shift_)) > capacity)
             ++shift_;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        const uint64_t old_gen = gen_;
-        reset(old.size() * 2);
         size_ = 0;
-        for (const Slot &s : old)
-            if ((s.tag >> kGenShift) == old_gen)
-                insert(static_cast<Addr>((s.tag & kAddrMask) - 1),
-                       s.ready);
     }
 
-    /** Backward-shift delete of the occupied slot at @p i. */
+    /**
+     * Slow path of an insert that found the table at 3/4 load or its
+     * ready offset out of range: rebuild the table without the entries
+     * expired at @p now, with the base advanced to @p now, at double
+     * the size if live entries still fill half of it. Which entries
+     * expired is random, so both passes over the old slots are
+     * branch-free.
+     */
     void
-    eraseSlot(size_t i)
+    makeRoom(Cycles now, Cycles ready)
     {
-        size_t hole = i;
-        for (size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
-            if (emptySlot(j))
-                break;
-            // j's natural position; move it into the hole iff the hole
-            // lies within its probe path (cyclic distance test).
-            const size_t nat = indexOf(
-                static_cast<Addr>((slots_[j].tag & kAddrMask) - 1));
-            if (((j - nat) & mask_) >= ((j - hole) & mask_)) {
-                slots_[hole] = slots_[j];
-                hole = j;
-            }
+        const Cycles base = std::max(base_, now);
+        ladm_require(ready <= base || ready - base <= UINT32_MAX,
+                     "in-flight miss ready at cycle ", ready,
+                     " is 2^32 or more cycles past cycle ", base,
+                     ": beyond the MSHR table's ready-offset range");
+        const Cycles old_base = base_;
+        const auto live = [&](const Slot &s) -> size_t {
+            return (s.key != 0) & (old_base + s.ready > now);
+        };
+        size_t n = 0;
+        for (const Slot &s : slots_)
+            n += live(s);
+        // Compact the survivors, rebased. Every survivor completes after
+        // now, so its offset exceeds delta: neither the narrowing nor
+        // the subtraction can lose bits for an entry that is kept. The
+        // store is unconditional; only the cursor depends on liveness.
+        std::vector<Slot> keep(n + 1);
+        const auto delta = static_cast<uint32_t>(base - old_base);
+        n = 0;
+        for (const Slot &s : slots_) {
+            keep[n] = Slot{s.key, s.ready - delta};
+            n += live(s);
         }
-        slots_[hole] = Slot{};
-        --size_;
+
+        if ((n + 1) * 2 > slots_.size())
+            reset(slots_.size() * 2);
+        else
+            clear();
+        base_ = base;
+        for (size_t k = 0; k < n; ++k) {
+            size_t i = indexOf(keep[k].key);
+            while (slots_[i].key != 0)
+                i = (i + 1) & mask_;
+            slots_[i] = keep[k];
+        }
+        size_ = n;
     }
 
     std::vector<Slot> slots_;
     size_t mask_ = 0;
     int shift_ = 0;
     size_t size_ = 0;
-    /** Current generation, >= 1 (a zeroed slot's gen 0 is never live). */
-    uint64_t gen_ = 1;
-    uint64_t genBase_ = uint64_t{1} << kGenShift;
+    /** Cycle the ready offsets count from; advanced by each sweep. */
+    Cycles base_ = 0;
 };
 
 } // namespace ladm

@@ -12,7 +12,7 @@
  *    header guarantees the restoring run derives identical values. Where
  *    cheap, a count is written anyway and validated on load so a
  *    fingerprint collision surfaces as a SimError, not memory stomping.
- *  - Structs with padding (WarpEvent, WayMeta, TlbEntry, ...) are
+ *  - Structs with padding (WarpEvent, TlbEntry, ...) are
  *    serialized field-wise; only padding-free trivially-copyable structs
  *    go through Writer::vec's raw memcpy.
  *  - Hash maps are written in iteration order. That order is not
@@ -21,6 +21,7 @@
  *    restored map answers every probe identically.
  */
 
+#include <algorithm>
 #include <string>
 
 #include "cache/cache.hh"
@@ -390,24 +391,27 @@ EventQueue::loadState(serial::Reader &r)
 void
 MshrTable::saveState(serial::Writer &w) const
 {
-    w.vec(slots_); // Slot is {u64, u64}: no padding
-    w.u64(mask_);
-    w.u32(static_cast<uint32_t>(shift_));
+    w.vec(slots_); // Slot is {u32, u32}: no padding
     w.u64(size_);
-    w.u64(gen_);
+    w.u64(base_);
 }
 
 void
 MshrTable::loadState(serial::Reader &r)
 {
-    r.vec(slots_);
-    mask_ = r.u64();
-    shift_ = static_cast<int>(r.u32());
-    size_ = r.u64();
-    gen_ = r.u64();
-    genBase_ = gen_ << kGenShift;
-    if (slots_.empty() || (slots_.size() & mask_) != 0)
+    std::vector<Slot> slots;
+    r.vec(slots);
+    const size_t n = slots.size();
+    if (n < kMinCapacity || (n & (n - 1)) != 0)
         badState("MSHR table geometry");
+    reset(n);
+    slots_ = std::move(slots);
+    size_ = r.u64();
+    base_ = r.u64();
+    const auto live = std::count_if(slots_.begin(), slots_.end(),
+                                    [](const Slot &s) { return s.key; });
+    if (static_cast<size_t>(live) != size_)
+        badState("MSHR table occupancy");
 }
 
 // --- cache/cache.hh ---------------------------------------------------------
@@ -415,12 +419,7 @@ MshrTable::loadState(serial::Reader &r)
 void
 SectoredCache::saveState(serial::Writer &w) const
 {
-    w.vec(tags_);
-    for (const WayMeta &m : meta_) {
-        w.u8(m.sectorValid);
-        w.u8(m.sectorDirty);
-        w.u64(m.lastUse);
-    }
+    w.vec(ways_); // Way is {u64, u64}: no padding
     w.u64(useClock_);
     w.u64(accesses_);
     w.u64(hits_);
@@ -432,14 +431,10 @@ SectoredCache::saveState(serial::Writer &w) const
 void
 SectoredCache::loadState(serial::Reader &r)
 {
-    const size_t ways = meta_.size();
-    r.vec(tags_);
-    expectCount(tags_.size(), ways, "cache ways");
-    for (WayMeta &m : meta_) {
-        m.sectorValid = r.u8();
-        m.sectorDirty = r.u8();
-        m.lastUse = r.u64();
-    }
+    const size_t ways = ways_.size();
+    r.vec(ways_);
+    expectCount(ways_.size(), ways, "cache ways");
+    populated_ = true;
     useClock_ = r.u64();
     accesses_ = r.u64();
     hits_ = r.u64();
@@ -693,7 +688,6 @@ MemorySystem::saveState(serial::Writer &w) const
     w.u64(pending_.size());
     for (const MshrTable &t : pending_)
         t.saveState(w);
-    w.vec(pendingSweepAt_);
     w.vec(fetchLocal_);
     w.vec(fetchRemote_);
     w.u64(ctr_.size());
@@ -737,7 +731,6 @@ MemorySystem::loadState(serial::Reader &r)
     expectCount(r.u64(), pending_.size(), "MSHR tables");
     for (MshrTable &t : pending_)
         t.loadState(r);
-    r.vec(pendingSweepAt_);
     r.vec(fetchLocal_);
     r.vec(fetchRemote_);
     expectCount(r.u64(), ctr_.size(), "node counters");

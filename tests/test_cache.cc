@@ -10,6 +10,7 @@
 #include "cache/insertion_policy.hh"
 #include "cache/traffic_class.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 
 namespace ladm
 {
@@ -166,6 +167,36 @@ TEST(Cache, CapacityBoundHolds)
     for (Addr a = 0; a < (1u << 24); a += kSectorSize)
         resident += c.probe(a) ? 1 : 0;
     EXPECT_LE(resident, static_cast<uint64_t>(lines) * 4); // 4 sectors/line
+}
+
+TEST(Cache, InvalidateAllAfterReuseStillEmpties)
+{
+    // invalidateAll() skips a cache untouched since the last flush; a
+    // flush, refill, flush sequence must still report and drop the
+    // second fill.
+    SectoredCache c(64 * 1024, 4, "t");
+    EXPECT_EQ(c.invalidateAll(), 0u); // fresh: nothing to drop
+    c.access(0, true, true);
+    EXPECT_EQ(c.invalidateAll(), 1u);
+    EXPECT_EQ(c.invalidateAll(), 0u);
+    c.access(kLineSize, true, true);
+    c.access(kLineSize + kSectorSize, true, true);
+    EXPECT_EQ(c.invalidateAll(), 2u);
+    EXPECT_FALSE(c.probe(kLineSize));
+}
+
+TEST(Cache, StampHeadroomIsChecked)
+{
+    // LRU stamps are 48 bits wide. The clock is checked once per kernel
+    // (MemorySystem::checkStampHeadroom), and refuses to run on once it
+    // passes 2^47 rather than let stamps wrap and corrupt LRU order.
+    SectoredCache c(64 * 1024, 4, "t");
+    c.access(0, false, true);
+    EXPECT_NO_THROW(c.checkStampHeadroom());
+    c.debugAdvanceClock((uint64_t{1} << 47) - 2);
+    EXPECT_NO_THROW(c.checkStampHeadroom());
+    c.access(0, false, true);
+    EXPECT_THROW(c.checkStampHeadroom(), SimError);
 }
 
 // --- insertion policy / traffic class ------------------------------------------

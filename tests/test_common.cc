@@ -168,6 +168,22 @@ TEST(MallocRegistryDeathTest, DuplicatePcThrows)
     EXPECT_THROW(reg.mallocManaged(1, 100, "b"), SimError);
 }
 
+TEST(MallocRegistry, RefusesAllocationEndingPast128GiB)
+{
+    // The MSHR table keys sectors in 32 bits, so the simulated address
+    // space ends one sector short of 128 GiB. Allocations reaching past
+    // it are refused up front instead of aliasing MSHR keys.
+    MallocRegistry reg(4096, 0);
+    const Addr a = reg.mallocManaged(1, 4096, "a"); // at 4096
+    EXPECT_EQ(a, 4096u);
+    const Bytes room = kMaxSimAddr - 2 * 4096;
+    EXPECT_THROW(reg.mallocManaged(2, room + 1, "too_big"), SimError);
+    EXPECT_THROW(reg.mallocManaged(3, ~Bytes{0}, "wraps"), SimError);
+    // Exactly filling the space is allowed; nothing fits after it.
+    EXPECT_EQ(reg.mallocManaged(4, room, "fits"), 2u * 4096);
+    EXPECT_THROW(reg.mallocManaged(5, 1, "after"), SimError);
+}
+
 TEST(Uvm, FirstTouchPlacesAndCharges)
 {
     PageTable pt(4096);

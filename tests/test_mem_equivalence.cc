@@ -9,23 +9,30 @@
  *    (bulk uniform, Eq. 1 stride interleave, row-blocked strips,
  *    first-touch exceptions, migration streaks, fault re-homes);
  *  - the open-addressed MshrTable against the unordered_map it
- *    replaced, including collision chains, backward-shift deletion,
- *    expiry sweeps, and the O(1) generation-stamped clear (with
- *    generation wrap-around);
+ *    replaced, including collision chains, the table-owned expiry
+ *    sweep, ready-offset rebasing, and a capacity bound of 4x the live
+ *    set under churn;
+ *  - the 16-byte-way SectoredCache against the structure-of-arrays
+ *    layout it replaced (results, evictions, victim order, and every
+ *    invalidation path);
  *  - the EventQueue's two modes against the std::priority_queue the
  *    engine historically used.
  */
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <queue>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "common/bitutils.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 #include "mem/address.hh"
 #include "mem/page_table.hh"
 #include "sim/event_queue.hh"
@@ -316,28 +323,69 @@ TEST(MemEquivalence, TlbInvalidatedByEveryMutationKind)
 // MshrTable vs the unordered_map it replaced.
 // ---------------------------------------------------------------------------
 
+/** Drop every reference entry expired at @p now (what a sweep does). */
+void
+dropExpired(std::unordered_map<Addr, Cycles> &ref, Cycles now)
+{
+    for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second <= now)
+            it = ref.erase(it);
+        else
+            ++it;
+    }
+}
+
+/**
+ * Insert into both, mirroring the table's expiry contract in the
+ * reference: an insert of a new key that would pass 3/4 load sweeps
+ * every entry expired at @p now first.
+ */
+void
+insertBoth(MshrTable &t, std::unordered_map<Addr, Cycles> &ref, Addr k,
+           Cycles ready, Cycles now, bool via_ref)
+{
+    const MshrTable::Ref r = t.locate(k);
+    if (!r.found && (t.size() + 1) * 4 > t.capacity() * 3)
+        dropExpired(ref, now);
+    if (via_ref)
+        t.insertAt(r, k, ready, now);
+    else
+        t.insert(k, ready, now);
+    ref[k] = ready;
+}
+
+void
+expectSameContents(const MshrTable &t,
+                   const std::unordered_map<Addr, Cycles> &ref)
+{
+    std::map<Addr, Cycles> got, want(ref.begin(), ref.end());
+    t.forEach([&](Addr a, Cycles c) { got[a] = c; });
+    EXPECT_EQ(got, want);
+}
+
 TEST(MshrEquivalence, RandomizedOpsMatchUnorderedMap)
 {
     Rng rng(0xdecafbad);
     MshrTable t;
     std::unordered_map<Addr, Cycles> ref;
     Cycles now = 0;
+    size_t max_capacity = 0;
 
     // Key pool small enough to force heavy reuse (overwrite paths) and
-    // large enough to force several grows past kMinCapacity.
+    // large enough, with long enough lifetimes, to force several grows
+    // past kMinCapacity; the advancing clock forces expiry sweeps.
     std::vector<Addr> keys;
-    for (int i = 0; i < 4000; ++i)
-        keys.push_back((rng.next() & ((1ull << 40) - 1)) & ~Addr{31});
+    for (int i = 0; i < 6000; ++i)
+        keys.push_back(rng.nextBounded(kMaxSimAddr) & ~Addr{31});
 
-    for (int op = 0; op < 60000; ++op) {
+    for (int op = 0; op < 80000; ++op) {
         const Addr k = keys[rng.nextBounded(keys.size())];
         switch (rng.nextBounded(8)) {
         case 0:
         case 1:
         case 2: { // insert / overwrite
-            const Cycles ready = now + 1 + rng.nextBounded(500);
-            t.insert(k, ready);
-            ref[k] = ready;
+            const Cycles ready = now + 1 + rng.nextBounded(4000);
+            insertBoth(t, ref, k, ready, now, false);
             break;
         }
         case 3: { // the hot-path locate -> insertAt pair
@@ -347,38 +395,29 @@ TEST(MshrEquivalence, RandomizedOpsMatchUnorderedMap)
             if (r.found) {
                 ASSERT_EQ(t.readyAt(r), it->second);
             }
-            const Cycles ready = now + 1 + rng.nextBounded(500);
-            t.insertAt(r, k, ready);
-            ref[k] = ready;
+            const Cycles ready = now + 1 + rng.nextBounded(4000);
+            insertBoth(t, ref, k, ready, now, true);
             break;
         }
-        case 4: { // erase (backward-shift deletion)
-            t.erase(k);
-            ref.erase(k);
+        case 4: { // a short miss: expires by the next sweep
+            const Cycles ready = now + 1 + rng.nextBounded(8);
+            insertBoth(t, ref, k, ready, now, false);
             break;
         }
         case 5: { // find
-            const Cycles *got = t.find(k);
+            const std::optional<Cycles> got = t.find(k);
             auto it = ref.find(k);
-            ASSERT_EQ(got != nullptr, it != ref.end());
+            ASSERT_EQ(got.has_value(), it != ref.end());
             if (got) {
                 ASSERT_EQ(*got, it->second);
             }
             break;
         }
-        case 6: { // expiry sweep at an advancing clock
-            now += rng.nextBounded(200);
-            t.sweepExpired(now);
-            for (auto it = ref.begin(); it != ref.end();) {
-                if (it->second <= now)
-                    it = ref.erase(it);
-                else
-                    ++it;
-            }
+        case 6: // the clock advances; the next sweep expires entries
+            now += rng.nextBounded(8);
             break;
-        }
         case 7: { // occasional kernel-boundary clear
-            if (rng.nextBounded(100) == 0) {
+            if (rng.nextBounded(400) == 0) {
                 t.clear();
                 ref.clear();
             }
@@ -386,62 +425,358 @@ TEST(MshrEquivalence, RandomizedOpsMatchUnorderedMap)
         }
         }
         ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+        max_capacity = std::max(max_capacity, t.capacity());
+        if (op % 5000 == 0)
+            expectSameContents(t, ref);
     }
-
-    // Full-content comparison via forEach.
-    std::map<Addr, Cycles> got, want(ref.begin(), ref.end());
-    t.forEach([&](Addr a, Cycles c) { got[a] = c; });
-    EXPECT_EQ(got, want);
+    expectSameContents(t, ref);
+    EXPECT_GE(max_capacity, 4096u) << "no grows exercised";
 }
 
-TEST(MshrEquivalence, GenerationClearSurvivesWrapAround)
+TEST(MshrEquivalence, CapacityTracksLiveSetUnderChurn)
+{
+    // Steady churn: every cycle misses on a sector never seen before,
+    // in flight for 1..3000 cycles. The table must size itself to the
+    // live set (entries not yet expired), not to the distinct keys a
+    // run has missed on.
+    Rng rng(11);
+    MshrTable t;
+    std::multiset<Cycles> live; // ready cycles of live entries
+    size_t peak_live = 0;
+    for (Cycles now = 0; now < 200000; ++now) {
+        while (!live.empty() && *live.begin() <= now)
+            live.erase(live.begin());
+        const Cycles ready = now + 1 + rng.nextBounded(3000);
+        t.insert(static_cast<Addr>(now) * kSectorSize, ready, now);
+        live.insert(ready);
+        peak_live = std::max(peak_live, live.size());
+        ASSERT_LE(t.capacity(), std::max<size_t>(1024, 4 * peak_live))
+            << "at cycle " << now;
+        ASSERT_GE(t.size(), live.size());
+    }
+    EXPECT_GT(peak_live, 1000u);
+}
+
+TEST(MshrEquivalence, ClearEmptiesTable)
 {
     MshrTable t;
-    // 70000 clears crosses the 16-bit generation wrap at least once.
-    for (int i = 0; i < 70000; ++i) {
-        t.insert(32 * static_cast<Addr>(i % 97), 1000 + i);
-        t.insert(32 * static_cast<Addr>((i % 97) + 1000), 2000 + i);
-        t.clear();
-        ASSERT_TRUE(t.empty());
-        ASSERT_EQ(t.find(32 * static_cast<Addr>(i % 97)), nullptr);
-    }
-    // Still a working table after the wrap.
-    t.insert(64, 7);
-    t.insert(96, 9);
-    ASSERT_NE(t.find(64), nullptr);
-    EXPECT_EQ(*t.find(64), 7u);
-    ASSERT_NE(t.find(96), nullptr);
-    EXPECT_EQ(*t.find(96), 9u);
-    EXPECT_EQ(t.find(128), nullptr);
+    for (Addr a = 0; a < 3000 * 32; a += 32)
+        t.insert(a, 1000 + a, 0); // all live: grows past the minimum
+    const size_t grown = t.capacity();
+    EXPECT_GT(grown, 1024u);
+    t.clear();
+    EXPECT_TRUE(t.empty());
+    EXPECT_EQ(t.capacity(), grown);
+    for (Addr a = 0; a < 3000 * 32; a += 32)
+        ASSERT_FALSE(t.find(a).has_value()) << a;
+    size_t visited = 0;
+    t.forEach([&](Addr, Cycles) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+
+    // Still a working table, with its ready base reset: cycles far past
+    // the cleared entries' still encode.
+    const Cycles later = Cycles{1} << 40;
+    t.insert(64, later + 7, later);
+    t.insert(96, later + 9, later);
+    ASSERT_TRUE(t.find(64).has_value());
+    EXPECT_EQ(*t.find(64), later + 7);
+    EXPECT_EQ(*t.find(96), later + 9);
+    EXPECT_FALSE(t.find(128).has_value());
+    EXPECT_EQ(t.size(), 2u);
 }
 
-TEST(MshrEquivalence, CollisionChainsCompactOnErase)
+TEST(MshrEquivalence, ReadyOffsetsRebaseAndRefuseOverflow)
 {
-    // Dense sequential sectors guarantee probe-chain overlap at the
-    // minimum capacity; erasing from the middle of chains exercises the
-    // backward-shift compaction against the reference.
+    MshrTable t;
+    // Ready cycles up to 2^32 - 1 past the base encode directly.
+    t.insert(32, UINT32_MAX, 0);
+    EXPECT_EQ(*t.find(32), Cycles{UINT32_MAX});
+    // A later insert whose offset from the base is out of range sweeps
+    // first, advancing the base to now; the expired entry goes with it.
+    const Cycles now = Cycles{5} << 32;
+    t.insert(64, now + 100, now);
+    EXPECT_EQ(*t.find(64), now + 100);
+    EXPECT_FALSE(t.find(32).has_value());
+    // A ready cycle at or before the base is already expired for every
+    // later lookup; it is kept at the base.
+    t.insert(96, now - 10, now);
+    EXPECT_EQ(*t.find(96), now);
+    // An in-flight miss 2^32 or more cycles past now cannot encode.
+    EXPECT_THROW(t.insert(128, now + (Cycles{1} << 32), now), SimError);
+    EXPECT_NO_THROW(t.insert(128, now + UINT32_MAX, now));
+}
+
+TEST(MshrEquivalence, CollisionChainsSurviveExpiry)
+{
+    // Dense sequential sectors build long probe clusters at the minimum
+    // capacity. Each round re-misses half of the previous round's
+    // sectors and adds new ones while about half the entries expire, so
+    // the rebuilding sweeps keep cutting clusters apart; every sector
+    // must stay reachable with its latest ready cycle.
     MshrTable t;
     std::unordered_map<Addr, Cycles> ref;
-    for (Addr a = 0; a < 700 * 32; a += 32) {
-        t.insert(a, a + 1);
-        ref[a] = a + 1;
-    }
     Rng rng(7);
-    for (int i = 0; i < 650; ++i) {
-        const Addr victim = 32 * rng.nextBounded(700);
-        t.erase(victim);
-        ref.erase(victim);
-        for (int p = 0; p < 16; ++p) {
-            const Addr k = 32 * rng.nextBounded(700);
-            const Cycles *got = t.find(k);
+    Cycles now = 0;
+    for (Addr round = 0; round < 40; ++round) {
+        for (Addr s = 0; s < 700; ++s) {
+            const Addr a = (round * 350 + s) * kSectorSize;
+            insertBoth(t, ref, a, now + 1 + rng.nextBounded(100), now,
+                       false);
+        }
+        now += 50;
+        for (int p = 0; p < 2000; ++p) {
+            const Addr k = rng.nextBounded((round + 2) * 350) * kSectorSize;
+            const std::optional<Cycles> got = t.find(k);
             auto it = ref.find(k);
-            ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << k;
+            ASSERT_EQ(got.has_value(), it != ref.end()) << "key " << k;
             if (got) {
                 ASSERT_EQ(*got, it->second);
             }
         }
+        ASSERT_EQ(t.size(), ref.size()) << "round " << round;
     }
-    EXPECT_EQ(t.size(), ref.size());
+    EXPECT_LE(t.capacity(), 4096u);
+}
+
+// ---------------------------------------------------------------------------
+// SectoredCache vs the structure-of-arrays layout it replaced: separate
+// tag and metadata arrays, re-implemented here verbatim as the
+// reference model. Same set hash, same LRU victim choice.
+// ---------------------------------------------------------------------------
+
+class SoaCacheRef
+{
+  public:
+    SoaCacheRef(Bytes size, int assoc)
+        : assoc_(assoc), numSets_(size / (assoc * kLineSize)),
+          tags_(numSets_ * assoc, kNoLine), meta_(numSets_ * assoc)
+    {
+    }
+
+    AccessResult
+    access(Addr addr, bool is_write, bool allocate, EvictInfo *evict)
+    {
+        ++useClock_;
+        const Addr line = lineBase(addr);
+        const int sector = static_cast<int>((addr - line) / kSectorSize);
+        const uint8_t sbit = static_cast<uint8_t>(1u << sector);
+        const size_t base = setIndex(line) * assoc_;
+        Addr *const tags = &tags_[base];
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags[i] == line) {
+                WayMeta &w = meta_[base + i];
+                w.lastUse = useClock_;
+                if (w.sectorValid & sbit) {
+                    if (is_write)
+                        w.sectorDirty |= sbit;
+                    return AccessResult::Hit;
+                }
+                if (allocate) {
+                    w.sectorValid |= sbit;
+                    if (is_write)
+                        w.sectorDirty |= sbit;
+                }
+                return AccessResult::SectorMiss;
+            }
+        }
+        if (!allocate)
+            return AccessResult::Miss;
+        int victim = 0;
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags[i] == kNoLine) {
+                victim = i;
+                break;
+            }
+            if (meta_[base + i].lastUse < meta_[base + victim].lastUse)
+                victim = i;
+        }
+        WayMeta &w = meta_[base + victim];
+        if (tags[victim] != kNoLine && evict) {
+            evict->evicted = true;
+            evict->lineAddr = tags[victim];
+            evict->dirtyMask = w.sectorDirty;
+        }
+        tags[victim] = line;
+        w.sectorValid = sbit;
+        w.sectorDirty = is_write ? sbit : 0;
+        w.lastUse = useClock_;
+        return AccessResult::Miss;
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const Addr line = lineBase(addr);
+        const int sector = static_cast<int>((addr - line) / kSectorSize);
+        const size_t base = setIndex(line) * assoc_;
+        for (int i = 0; i < assoc_; ++i)
+            if (tags_[base + i] == line)
+                return (meta_[base + i].sectorValid >> sector) & 1;
+        return false;
+    }
+
+    bool
+    invalidateSector(Addr addr)
+    {
+        const Addr line = lineBase(addr);
+        const int sector = static_cast<int>((addr - line) / kSectorSize);
+        const uint8_t sbit = static_cast<uint8_t>(1u << sector);
+        const size_t base = setIndex(line) * assoc_;
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags_[base + i] != line)
+                continue;
+            WayMeta &w = meta_[base + i];
+            const bool present = (w.sectorValid & sbit) != 0;
+            w.sectorValid &= static_cast<uint8_t>(~sbit);
+            w.sectorDirty &= static_cast<uint8_t>(~sbit);
+            if (w.sectorValid == 0) {
+                tags_[base + i] = kNoLine;
+                w = WayMeta{};
+            }
+            return present;
+        }
+        return false;
+    }
+
+    uint64_t
+    invalidateRange(Addr lo, Addr hi)
+    {
+        uint64_t dropped = 0;
+        for (Addr line = lineBase(lo); line < hi; line += kLineSize) {
+            const size_t base = setIndex(line) * assoc_;
+            for (int i = 0; i < assoc_; ++i) {
+                if (tags_[base + i] != line)
+                    continue;
+                dropped += static_cast<uint64_t>(
+                    __builtin_popcount(meta_[base + i].sectorValid));
+                tags_[base + i] = kNoLine;
+                meta_[base + i] = WayMeta{};
+                break;
+            }
+        }
+        return dropped;
+    }
+
+    uint64_t
+    invalidateAll()
+    {
+        uint64_t dirty = 0;
+        for (size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kNoLine)
+                dirty += static_cast<uint64_t>(
+                    __builtin_popcount(meta_[i].sectorDirty));
+            tags_[i] = kNoLine;
+            meta_[i] = WayMeta{};
+        }
+        return dirty;
+    }
+
+  private:
+    static constexpr Addr kNoLine = ~Addr{0};
+    struct WayMeta
+    {
+        uint8_t sectorValid = 0;
+        uint8_t sectorDirty = 0;
+        uint64_t lastUse = 0;
+    };
+
+    size_t
+    setIndex(Addr line_addr) const
+    {
+        // The division form of SectoredCache's XOR-folded hash.
+        const uint64_t line = line_addr / kLineSize;
+        const uint64_t n = numSets_;
+        uint64_t h = line;
+        h ^= line / n;
+        h ^= line / (n * n);
+        h ^= h >> 17;
+        return static_cast<size_t>(h % n);
+    }
+
+    int assoc_;
+    size_t numSets_;
+    std::vector<Addr> tags_;
+    std::vector<WayMeta> meta_;
+    uint64_t useClock_ = 0;
+};
+
+/**
+ * Drive both caches with one random op stream over a line pool a few
+ * times the cache's capacity, comparing every result, every EvictInfo
+ * (which pins the victim order), and the hit counter.
+ */
+void
+runCacheDifferential(Bytes size, int assoc, uint64_t seed)
+{
+    SectoredCache c(size, assoc, "dut");
+    SoaCacheRef ref(size, assoc);
+    Rng rng(seed);
+    const uint64_t lines = 3 * size / kLineSize;
+    const Addr region = 0x40000000; // 1 GiB: away from address zero
+    auto pick = [&] {
+        return region + rng.nextBounded(lines) * kLineSize +
+               rng.nextBounded(kLineSize / kSectorSize) * kSectorSize;
+    };
+    // Enough ops to fill the cache several times between the few
+    // whole-cache flushes.
+    const uint64_t ops = 20 * (size / kLineSize) + 20000;
+    uint64_t hits = 0, evictions = 0;
+    for (uint64_t op = 0; op < ops; ++op) {
+        if (op % (ops / 4) == ops / 4 - 1) {
+            ASSERT_EQ(c.invalidateAll(), ref.invalidateAll()) << "op " << op;
+            continue;
+        }
+        const Addr a = pick();
+        const uint64_t kind = rng.nextBounded(100);
+        if (kind < 85) {
+            const bool write = rng.nextBounded(4) == 0;
+            const bool alloc = rng.nextBounded(8) != 0;
+            EvictInfo eg, ew;
+            const AccessResult got = c.access(a, write, alloc, &eg);
+            const AccessResult want = ref.access(a, write, alloc, &ew);
+            ASSERT_EQ(got, want) << "op " << op;
+            ASSERT_EQ(eg.evicted, ew.evicted) << "op " << op;
+            ASSERT_EQ(eg.lineAddr, ew.lineAddr) << "op " << op;
+            ASSERT_EQ(eg.dirtyMask, ew.dirtyMask) << "op " << op;
+            hits += got == AccessResult::Hit;
+            evictions += eg.evicted;
+        } else if (kind < 95) {
+            ASSERT_EQ(c.invalidateSector(a), ref.invalidateSector(a))
+                << "op " << op;
+        } else if (kind < 98) {
+            const Addr lo = a - rng.nextBounded(4 * kLineSize);
+            const Addr hi = a + rng.nextBounded(16 * kLineSize);
+            ASSERT_EQ(c.invalidateRange(lo, hi), ref.invalidateRange(lo, hi))
+                << "op " << op;
+        } else {
+            ASSERT_EQ(c.probe(a), ref.probe(a)) << "op " << op;
+        }
+    }
+    for (uint64_t l = 0; l < lines; ++l)
+        for (Addr s = 0; s < kLineSize; s += kSectorSize) {
+            const Addr a = region + l * kLineSize + s;
+            ASSERT_EQ(c.probe(a), ref.probe(a)) << a;
+        }
+    EXPECT_EQ(c.hits(), hits);
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_EQ(c.invalidateAll(), ref.invalidateAll());
+}
+
+TEST(CacheEquivalence, L1GeometryMatchesSoaReference)
+{
+    runCacheDifferential(64 * 1024, 4, 1); // 128 sets, power of two
+}
+
+TEST(CacheEquivalence, L2GeometryMatchesSoaReference)
+{
+    runCacheDifferential(1 << 20, 16, 2); // 512 sets, 256-byte sets
+}
+
+TEST(CacheEquivalence, OddGeometriesMatchSoaReference)
+{
+    runCacheDifferential(3 * 2 * kLineSize, 2, 3); // 3 sets: slow hash
+    runCacheDifferential(8 * 1 * kLineSize, 1, 4); // direct mapped
 }
 
 // ---------------------------------------------------------------------------

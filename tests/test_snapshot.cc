@@ -15,10 +15,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "check/invariants.hh"
 #include "common/atomic_file.hh"
@@ -40,10 +42,17 @@ namespace ladm
 namespace
 {
 
+/**
+ * Per-test, per-process scratch path: ctest runs each test in its own
+ * process, in parallel, and they all share TempDir().
+ */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + "/" + name;
+    const ::testing::TestInfo *t =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/" + t->name() + "_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 std::string
@@ -250,6 +259,28 @@ TEST_F(SnapshotTest, ReaderRejectsCorruptedSection)
     std::string image = w.finish(7);
     image[image.size() / 2] ^= 0x40; // flip one payload bit
     EXPECT_THROW({ serial::Reader r(std::move(image)); }, SimError);
+}
+
+TEST_F(SnapshotTest, PreviousFormatVersionRefused)
+{
+    // Version 2 changed the MSHR slot and cache way layouts and dropped
+    // the memory section's sweep watermarks: an older image must be
+    // refused at the header, never parsed against the new layout.
+    serial::Writer w;
+    w.beginSection(1);
+    w.u64(1);
+    w.endSection();
+    std::string image = w.finish(7);
+    const uint32_t prev = serial::kFormatVersion - 1;
+    std::memcpy(&image[8], &prev, sizeof prev); // after the 8-byte magic
+    try {
+        serial::Reader r(std::move(image));
+        FAIL() << "previous format version accepted";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("format version"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(SnapshotTest, CorruptedCheckpointFailsRecoverably)
