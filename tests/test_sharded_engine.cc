@@ -207,6 +207,39 @@ TEST(ShardDeterminism, RepeatedShardedRunsAreIdentical)
     EXPECT_EQ(a.classAccesses, b.classAccesses);
 }
 
+TEST(ShardDeterminism, FirstTouchRemoteCellPinned)
+{
+    // The ladm cells above map every page up front, so they never take
+    // the deferred first-touch path. CONV under batch+ft faults its
+    // pages in from the shard lanes and issues every deferred op kind:
+    // ~1.02M remote fetches, ~17k untranslated (first-touch) accesses
+    // and ~6.7k remote-homed dirty writebacks. Both shard counts must
+    // agree, and both must equal the values this path produced before
+    // the access pipeline was unified.
+    ::unsetenv("LADM_SHARDS");
+    RunMetrics m[2];
+    const int shard_counts[2] = {2, 8};
+    for (int i = 0; i < 2; ++i) {
+        SystemConfig cfg = presets::multiGpu4x4();
+        cfg.shards = shard_counts[i];
+        auto w = workloads::makeWorkload("CONV", 1.0);
+        m[i] = runExperiment(*w, Policy::BatchFt, cfg);
+    }
+    for (const RunMetrics &r : m) {
+        EXPECT_EQ(r.cycles, 78624u);
+        EXPECT_EQ(r.fetchLocal, 119138u);
+        EXPECT_EQ(r.fetchRemote, 1032302u);
+        EXPECT_EQ(r.uvmFaults, 2049u);
+        EXPECT_EQ(r.interNodeBytes, 42506160u);
+        EXPECT_EQ(r.interGpuBytes, 24082688u);
+    }
+    EXPECT_EQ(m[1].warpSteps, m[0].warpSteps);
+    EXPECT_EQ(m[1].sectorAccesses, m[0].sectorAccesses);
+    EXPECT_DOUBLE_EQ(m[1].l1HitRate, m[0].l1HitRate);
+    EXPECT_DOUBLE_EQ(m[1].l2HitRate, m[0].l2HitRate);
+    EXPECT_EQ(m[1].classAccesses, m[0].classAccesses);
+}
+
 /**
  * Synthetic trace whose output is a pure function of (tb, warp, step):
  * per-shard instances are interchangeable, as the engine requires.
