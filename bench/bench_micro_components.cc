@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the simulator's hot components:
  * the symbolic algebra, the sectored cache (L1-hit and L2-miss paths at
  * the multi-gpu-4x4 geometry), the MSHR table, the page table, the
- * bandwidth servers, and trace generation. These gate the wall-clock
- * cost of the figure harnesses, not any paper result.
+ * bandwidth servers, the serial MemorySystem::access pipeline (L2-hit
+ * and remote-miss paths), and trace generation. These gate the
+ * wall-clock cost of the figure harnesses, not any paper result.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,9 +13,11 @@
 #include "cache/cache.hh"
 #include "common/bandwidth_server.hh"
 #include "common/rng.hh"
+#include "config/presets.hh"
 #include "kernel/expr.hh"
 #include "mem/page_table.hh"
 #include "mem/placement.hh"
+#include "sim/memory_system.hh"
 #include "sim/mshr_table.hh"
 #include "workloads/access_gen.hh"
 
@@ -159,6 +162,58 @@ BM_BandwidthServerBook(benchmark::State &state)
         benchmark::DoNotOptimize(s.book(now++, 32));
 }
 BENCHMARK(BM_BandwidthServerBook);
+
+void
+BM_MemAccessL2Hit(benchmark::State &state)
+{
+    // SM 0 sweeps 512 KiB homed on its own node sector by sector: the
+    // sweep thrashes its 64 KiB L1 (every access misses) but fits the
+    // 1 MiB L2, so after one warm-up pass every access is a requester-L2
+    // hit -- front end, translation and L2, no fetch.
+    const SystemConfig cfg = presets::multiGpu4x4();
+    MemorySystem mem(cfg);
+    constexpr Addr kBase = 0x1000000;
+    constexpr Addr kSpan = 512 * 1024;
+    mem.pageTable().place(kBase, kSpan, 0);
+    Cycles now = 0;
+    for (Addr a = 0; a < kSpan; a += kSectorSize, now += 4)
+        mem.access(now, 0, kBase + a, false);
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mem.access(now, 0, kBase + a, false));
+        a = (a + kSectorSize) & (kSpan - 1);
+        now += 4;
+    }
+    state.counters["l2_hit_rate"] =
+        static_cast<double>(mem.l2Hits()) / mem.l2Accesses();
+}
+BENCHMARK(BM_MemAccessL2Hit);
+
+void
+BM_MemAccessRemoteMiss(benchmark::State &state)
+{
+    // SM 0 reads random sectors of 256 MiB homed on the next chiplet of
+    // its GPU: L1 and requester-L2 misses, then the remote leg -- ring
+    // out, home L2 (mostly missing), home HBM, ring back -- and an MSHR
+    // insert. Time advances 16 cycles per access, so no server backs up.
+    const SystemConfig cfg = presets::multiGpu4x4();
+    MemorySystem mem(cfg);
+    constexpr Addr kBase = 0x1000000;
+    constexpr Addr kSpan = Addr{256} << 20;
+    mem.pageTable().place(kBase, kSpan, 1);
+    Rng rng(6);
+    std::vector<Addr> addrs(1 << 16);
+    for (auto &a : addrs)
+        a = kBase + (rng.nextBounded(kSpan) & ~(kSectorSize - 1));
+    Cycles now = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            mem.access(now, 0, addrs[(now / 16) & 0xFFFF], false));
+        now += 16;
+    }
+    state.counters["remote_fraction"] = mem.offChipFraction();
+}
+BENCHMARK(BM_MemAccessRemoteMiss);
 
 void
 BM_AffineWarpStep(benchmark::State &state)

@@ -41,7 +41,7 @@ namespace serial
 uint32_t crc32(const void *data, size_t n);
 
 /** Current checkpoint format version; bump on any layout change. */
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 
 class Writer
 {

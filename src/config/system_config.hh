@@ -146,15 +146,6 @@ struct SystemConfig
      */
     int warpPipelineDepth = 3;
     /**
-     * Schedule warp wake-ups through a calendar queue (bucketed by
-     * computeGapCycles) instead of the default binary heap. O(1) event
-     * ops, but equal-cycle events pop in FIFO instead of heap order, and
-     * simultaneity order is behavior-relevant (bandwidth booking order),
-     * so results differ slightly from the recorded baselines; keep the
-     * default for reproducibility. See sim/event_queue.hh.
-     */
-    bool engineCalendarQueue = false;
-    /**
      * Event-loop shards for the conservative-PDES engine: the kernel
      * engine partitions warps by NUMA node across this many worker
      * threads synchronized on conservative time windows whose width is

@@ -7,8 +7,8 @@
  * happens at collection time by mapping page addresses back through the
  * run's allocations, so the record path stays two increments.
  *
- * Conservation: every recordFetch() mirrors exactly one fetchLocal_/
- * fetchRemote_ increment in MemorySystem::access(), so the matrix
+ * Conservation: every recordFetch() mirrors exactly one fetchLocal/
+ * fetchRemote increment in MemorySystem::access(), so the matrix
  * diagonal row-sums to fetch_local and the off-diagonal to fetch_remote
  * bit-exactly (the property tests/test_obs.cc pins down).
  */

@@ -4,7 +4,7 @@
  *
  * Two implementations behind one interface:
  *
- *  - Heap (default): a flat binary min-heap driven by std::push_heap /
+ *  - Heap: a flat binary min-heap driven by std::push_heap /
  *    std::pop_heap with a time-only comparator -- operation-for-operation
  *    the std::priority_queue the engine historically used, so the pop
  *    order (including the order of EQUAL-time events, which falls out of
@@ -25,10 +25,11 @@
  * behavior-relevant: simultaneous accesses book bandwidth servers in pop
  * order, so per-warp delays -- and therefore whole-run metrics -- shift
  * with it (measured on fig09: several workloads move by a few percent
- * under a different tie-break). The heap is the default so results stay
- * bit-reproducible against the repo's recorded baselines; the calendar
- * mode is for throughput experiments that accept a different (equally
- * valid) simultaneity order. See docs/performance.md.
+ * under a different tie-break). The serial engine lane always uses the
+ * heap, so results stay bit-reproducible against the repo's recorded
+ * baselines; the sharded engine's per-node lanes always use the
+ * calendar, whose FIFO tie order is part of their own determinism
+ * contract. See docs/performance.md.
  */
 
 #ifndef LADM_SIM_EVENT_QUEUE_HH

@@ -1,6 +1,6 @@
 #include "sim/kernel_engine.hh"
 
-#include <array>
+#include <algorithm>
 
 #include "check/invariants.hh"
 #include "common/bitutils.hh"
@@ -17,6 +17,8 @@
 namespace ladm
 {
 
+using engine_detail::Lane;
+using engine_detail::Launch;
 using engine_detail::SmState;
 using engine_detail::WarpState;
 
@@ -76,22 +78,14 @@ KernelEngine::KernelEngine(const SystemConfig &cfg, MemorySystem &mem)
 void
 KernelEngine::registerStats(telemetry::StatRegistry &reg)
 {
-    const StatKind acc = StatKind::Counter;
-    reg.gauge("engine.kernels",
-              [this] { return static_cast<double>(kernelsRun_); }, acc);
-    reg.gauge("engine.warp_steps",
-              [this] { return static_cast<double>(warpStepsTotal_); },
-              acc);
-    reg.gauge("engine.sector_accesses",
-              [this] {
-                  return static_cast<double>(sectorAccessesTotal_);
-              },
-              acc);
-    reg.gauge("engine.tbs_dispatched",
-              [this] {
-                  return static_cast<double>(tbsDispatchedTotal_);
-              },
-              acc);
+    auto counter = [&reg](const std::string &path, const uint64_t &v) {
+        reg.gauge(path, [&v] { return static_cast<double>(v); },
+                  StatKind::Counter);
+    };
+    counter("engine.kernels", kernelsRun_);
+    counter("engine.warp_steps", warpStepsTotal_);
+    counter("engine.sector_accesses", sectorAccessesTotal_);
+    counter("engine.tbs_dispatched", tbsDispatchedTotal_);
     // Bucket width 8 cycles x 32 buckets spans [0, 256); slower steps
     // (remote fetches, DRAM queueing) land in the overflow bucket.
     stepLatencyHist_ =
@@ -111,26 +105,17 @@ KernelEngine::registerStats(telemetry::StatRegistry &reg)
     if (maxShards_ > 1) {
         reg.gauge("engine.pdes.shards",
                   [this] { return static_cast<double>(maxShards_); });
-        reg.gauge("engine.pdes.windows",
-                  [this] { return static_cast<double>(pdesWindows_); },
-                  acc);
-        reg.gauge("engine.pdes.deferred_ops",
-                  [this] {
-                      return static_cast<double>(pdesDeferredOps_);
-                  },
-                  acc);
-        reg.gauge("engine.pdes.late_events",
-                  [this] {
-                      return static_cast<double>(pdesLateEvents_);
-                  },
-                  acc);
+        counter("engine.pdes.windows", pdesWindows_);
+        counter("engine.pdes.deferred_ops", pdesDeferredOps_);
+        counter("engine.pdes.late_events", pdesLateEvents_);
+        // Indexed, not referenced: a restore may reallocate the vector.
         for (size_t s = 0; s < pdesBarrierNs_.size(); ++s) {
             reg.gauge("engine.pdes.shard" + std::to_string(s) +
                           ".barrier_wait_ns",
                       [this, s] {
                           return static_cast<double>(pdesBarrierNs_[s]);
                       },
-                      acc);
+                      StatKind::Counter);
         }
     }
 }
@@ -236,151 +221,31 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         }
     }
 
-    KernelRunStats stats;
-    stats.startCycle = start;
-    stats.endCycle = start;
-    stats.tbCount = dims.numTbs();
-
-    // Per-node dispatch cursor and per-TB remaining-warp counts.
-    std::vector<size_t> cursor(num_nodes, 0);
-    std::vector<int> tb_warps_left(dims.numTbs(), 0);
-
-    std::vector<SmState> sms(cfg_.totalSms());
-    for (auto &s : sms)
-        s.freeWarpSlots = cfg_.warpSlotsPerSm;
-
-    std::vector<WarpState> warps;
-    std::vector<uint32_t> free_warps;
-    EventQueue pq(cfg_.engineCalendarQueue ? EventQueue::Mode::Calendar
-                                           : EventQueue::Mode::Heap,
-                  std::max<Cycles>(cfg_.computeGapCycles, 1));
+    Launch launch = makeLaunch(dims, node_queues);
+    Lane lane(EventQueue::Mode::Heap, std::max<Cycles>(launch.gap, 1), 0,
+              num_nodes, 0, cfg_.totalSms(), cfg_.warpSlotsPerSm);
+    const std::vector<Lane *> lanes{&lane};
 
     auto &tr = telemetry::tracer();
     const bool tracing = tr.enabled();
-    // TB dispatch cycles, kept only while tracing (retire closes the span).
-    std::vector<Cycles> tb_start;
     if (tracing)
-        tb_start.assign(dims.numTbs(), 0);
+        launch.tbStart.assign(dims.numTbs(), 0);
     // A warp step this much slower than pure compute counts as a stall
     // interval worth showing on the timeline.
     const Cycles stall_floor = cfg_.computeGapCycles + 32;
 
-    auto admit = [&](SmId sm, Cycles now) {
-        const NodeId node = smNode_[sm];
-        auto &q = node_queues[node];
-        SmState &st = sms[sm];
-        while (st.residentTbs < cfg_.maxResidentTbsPerSm &&
-               st.freeWarpSlots >= warps_per_tb && cursor[node] < q.size()) {
-            const TbId tb = q[cursor[node]++];
-            if (tracing)
-                tb_start[tb] = now;
-            ++st.residentTbs;
-            st.freeWarpSlots -= warps_per_tb;
-            tb_warps_left[tb] = warps_per_tb;
-            for (int w = 0; w < warps_per_tb; ++w) {
-                uint32_t slot;
-                if (!free_warps.empty()) {
-                    slot = free_warps.back();
-                    free_warps.pop_back();
-                } else {
-                    slot = static_cast<uint32_t>(warps.size());
-                    warps.emplace_back();
-                }
-                warps[slot] = WarpState{tb, w, sm, 0, {}};
-                pq.push(now, slot);
-            }
-        }
-    };
-
-    const int depth = std::clamp(cfg_.warpPipelineDepth, 1, 4);
-
-    std::vector<MemAccess> buf;
     /** Last processed event's cycle: the current safe-point time. */
     Cycles cur = start;
-
-    // Checkpoint image of every loop local, written at a safe point
-    // (top of the loop, before the pop: the queue is consistent and no
-    // access is in flight). Restore reproduces these verbatim -- the
-    // queue's internal layout in particular, since equal-time pop order
-    // is behavior-relevant.
-    auto save_serial = [&](serial::Writer &w) {
-        w.u8(0); // loop kind: serial
-        saveCumulative(w);
-        w.u64(cur);
-        w.u64(stats.startCycle);
-        w.u64(stats.endCycle);
-        w.u64(stats.warpSteps);
-        w.u64(stats.sectorAccesses);
-        w.u64(stats.totalStepLatency);
-        w.u64(stats.maxStepLatency);
-        w.vec(cursor);
-        w.vec(tb_warps_left);
-        w.u64(sms.size());
-        for (const SmState &s : sms) {
-            w.u32(static_cast<uint32_t>(s.residentTbs));
-            w.u32(static_cast<uint32_t>(s.freeWarpSlots));
-        }
-        w.u64(warps.size());
-        for (const WarpState &ws : warps) {
-            w.i64(ws.tb);
-            w.u32(static_cast<uint32_t>(ws.warpInTb));
-            w.u32(static_cast<uint32_t>(ws.sm));
-            w.i64(ws.step);
-            for (const Cycles d : ws.doneRing)
-                w.u64(d);
-        }
-        w.vec(free_warps);
-        pq.saveState(w);
+    // Checkpoints are taken at the top of the loop, before the pop: the
+    // queue is consistent and no access is in flight.
+    auto save = [&](serial::Writer &w) {
+        saveLoop(w, false, cur, launch, lanes);
     };
-
-    if (resume) {
-        ladm_require(ckpt_ && ckpt_->restorePending(),
-                     "engine resume requested with no restore armed");
-        serial::Reader &r = ckpt_->reader();
-        r.openSection(snapshot::kEngine);
-        if (r.u8() != 0) {
-            throw SimError(
-                SimError::Kind::Config, "checkpoint state mismatch",
-                {{"checkpoint.engine", "sharded",
-                  "the checkpoint was written by the sharded PDES loop "
-                  "but this run resolves to the serial loop",
-                  "resume with the same --shards / --check / tracing "
-                  "setup that produced the checkpoint"}});
-        }
-        loadCumulative(r);
-        cur = r.u64();
-        stats.startCycle = r.u64();
-        stats.endCycle = r.u64();
-        stats.warpSteps = r.u64();
-        stats.sectorAccesses = r.u64();
-        stats.totalStepLatency = r.u64();
-        stats.maxStepLatency = r.u64();
-        r.vec(cursor);
-        r.vec(tb_warps_left);
-        const uint64_t num_sms = r.u64();
-        ladm_require(num_sms == sms.size(),
-                     "checkpoint SM count mismatch");
-        for (SmState &s : sms) {
-            s.residentTbs = static_cast<int>(r.u32());
-            s.freeWarpSlots = static_cast<int>(r.u32());
-        }
-        warps.resize(r.u64());
-        for (WarpState &ws : warps) {
-            ws.tb = r.i64();
-            ws.warpInTb = static_cast<int>(r.u32());
-            ws.sm = static_cast<SmId>(r.u32());
-            ws.step = r.i64();
-            for (Cycles &d : ws.doneRing)
-                d = r.u64();
-        }
-        r.vec(free_warps);
-        pq.loadState(r);
-        ckpt_->finishRestore();
-        ckpt_->noteResumed(cur);
-    } else {
-        for (SmId sm = 0; sm < cfg_.totalSms(); ++sm)
-            admit(sm, start);
-    }
+    if (resume)
+        cur = loadLoop(false, launch, lanes);
+    else
+        lane.admitAll(launch, start);
+    const LaneBase base = laneBase(lanes);
 
     // No-progress watchdog (opt-in): a healthy kernel advances simulated
     // time within a bounded number of events (every warp's next wake-up
@@ -391,123 +256,87 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     Cycles watchdog_time = cur;
     uint64_t watchdog_stuck = 0;
 
-    while (!pq.empty()) {
-        // Safe point: between two events the queue is consistent and no
-        // access is in flight. One untaken null check when
-        // checkpointing is off.
-        if (ckpt_ && ckpt_->pending(cur)) {
-            if (ckpt_->capture(cur, save_serial))
-                throw snapshot::Interrupted(ckpt_->outPath(), cur);
+    auto watchdog = [&](const WarpEvent &ev) {
+        if (ev.time > watchdog_time) {
+            watchdog_time = ev.time;
+            watchdog_stuck = 0;
+            return;
         }
-        const WarpEvent ev = pq.pop();
-        cur = ev.time;
-        WarpState &w = warps[ev.warp];
-
-        // Timeline sampling: event times are globally monotone, so one
-        // compare per event is enough to hit every window boundary.
-        if (timeline_)
-            timeline_->maybeTick(ev.time);
-
-        if (check_on) {
-            if (ev.time > watchdog_time) {
-                watchdog_time = ev.time;
-                watchdog_stuck = 0;
-            } else if (++watchdog_stuck > watchdog_limit) {
-                size_t dispatched = 0, queued = 0;
-                for (int n = 0; n < num_nodes; ++n) {
-                    dispatched += cursor[n];
-                    queued += node_queues[n].size();
-                }
-                if (ckpt_) {
-                    // Re-file the popped event so the dumped image is a
-                    // consistent safe point, then leave a replayable
-                    // post-mortem checkpoint beside the telemetry dump.
-                    pq.push(ev.time, ev.warp);
-                    ckpt_->postMortem(cur, save_serial);
-                }
-                throw InvariantViolation(
-                    "engine made no progress for " +
-                        std::to_string(watchdog_stuck) +
-                        " events (hung kernel?)",
-                    {{"engine.cycle", std::to_string(ev.time),
-                      "simulated time stopped advancing",
-                      "raise LADM_CHECK_WATCHDOG if the kernel is "
-                      "legitimately this dense"},
-                     {"engine.live_warps",
-                      std::to_string(warps.size() - free_warps.size()),
-                      "warps still in flight at the stuck cycle",
-                      "check the trace source's retire condition"},
-                     {"engine.tbs_dispatched",
-                      std::to_string(dispatched) + " of " +
-                          std::to_string(queued),
-                      "threadblocks handed to SMs so far",
-                      "undispatched TBs are waiting on the stuck "
-                      "ones"}});
-            }
+        if (++watchdog_stuck <= watchdog_limit)
+            return;
+        size_t dispatched = 0, queued = 0;
+        for (int n = 0; n < num_nodes; ++n) {
+            dispatched += lane.cursor[static_cast<size_t>(n)];
+            queued += node_queues[n].size();
         }
+        if (ckpt_) {
+            // Re-file the popped event so the dumped image is a
+            // consistent safe point, then leave a replayable
+            // post-mortem checkpoint beside the telemetry dump.
+            lane.pq.push(ev.time, ev.warp);
+            ckpt_->postMortem(cur, save);
+        }
+        throw InvariantViolation(
+            "engine made no progress for " +
+                std::to_string(watchdog_stuck) + " events (hung kernel?)",
+            {{"engine.cycle", std::to_string(ev.time),
+              "simulated time stopped advancing",
+              "raise LADM_CHECK_WATCHDOG if the kernel is "
+              "legitimately this dense"},
+             {"engine.live_warps",
+              std::to_string(lane.warps.size() - lane.freeWarps.size()),
+              "warps still in flight at the stuck cycle",
+              "check the trace source's retire condition"},
+             {"engine.tbs_dispatched",
+              std::to_string(dispatched) + " of " + std::to_string(queued),
+              "threadblocks handed to SMs so far",
+              "undispatched TBs are waiting on the stuck ones"}});
+    };
 
-        buf.clear();
-        if (!trace.warpStep(w.tb, w.warpInTb, w.step, buf)) {
-            // Warp retired; pipelined steps may still be outstanding, so
-            // the warp is done only when the newest completion lands.
-            Cycles fin = ev.time;
-            for (const Cycles d : w.doneRing)
-                fin = std::max(fin, d);
-            SmState &st = sms[w.sm];
-            ++st.freeWarpSlots;
-            free_warps.push_back(ev.warp);
-            if (--tb_warps_left[w.tb] == 0) {
-                --st.residentTbs;
+    lane.drain(
+        launch, trace, engine_detail::kNoEvent,
+        engine_detail::LoopHooks{
+            [&] {
+                // One untaken null check when checkpointing is off.
+                if (ckpt_ && ckpt_->pending(cur) &&
+                    ckpt_->capture(cur, save))
+                    throw snapshot::Interrupted(ckpt_->outPath(), cur);
+            },
+            [&](const WarpEvent &ev) {
+                cur = ev.time;
+                // Event times are globally monotone, so one compare per
+                // event is enough to hit every window boundary.
+                if (timeline_)
+                    timeline_->maybeTick(ev.time);
+                if (check_on)
+                    watchdog(ev);
+            },
+            [&](TbId tb, SmId sm, Cycles fin) {
                 if (tracing) {
-                    const NodeId node = smNode_[w.sm];
-                    tr.complete("tb", "tb" + std::to_string(w.tb),
-                                telemetry::kPidNodeBase + node, w.sm,
-                                tb_start[w.tb], fin);
+                    tr.complete("tb", "tb" + std::to_string(tb),
+                                telemetry::kPidNodeBase + smNode_[sm], sm,
+                                launch.tbStart[tb], fin);
                 }
-                admit(w.sm, fin);
-            }
-            stats.endCycle = std::max(stats.endCycle, fin);
-            continue;
-        }
-
-        Cycles done = ev.time;
-        for (const auto &a : buf)
-            done = std::max(done, mem_.access(ev.time, w.sm, a.addr,
-                                              a.write));
-        const Cycles step_latency = done - ev.time;
-        stats.totalStepLatency += step_latency;
-        stats.maxStepLatency = std::max(stats.maxStepLatency,
-                                        step_latency);
-        stats.sectorAccesses += buf.size();
-        ++stats.warpSteps;
-        // The cumulative gauges advance per step, not per kernel, so a
-        // mid-kernel timeline window sees live progress instead of a
-        // stale end-of-last-kernel total.
-        sectorAccessesTotal_ += buf.size();
-        ++warpStepsTotal_;
-        if (stepLatencyHist_)
-            stepLatencyHist_->sample(step_latency);
-        if (tracing && step_latency >= stall_floor && tr.sampleTick()) {
-            tr.complete("stall", "warp_stall",
-                        telemetry::kPidNodeBase + smNode_[w.sm],
-                        w.sm, ev.time, done,
-                        "{\"cycles\":" + std::to_string(step_latency) +
-                            "}");
-        }
-        // A warp may run `depth` loop iterations ahead of the oldest
-        // outstanding one: the next step issues once the step `depth`
-        // iterations back has completed (scoreboard dependence), but no
-        // earlier than the compute gap after this issue.
-        w.doneRing[w.step % depth] = done;
-        const Cycles dep = w.doneRing[(w.step + 1) % depth];
-        ++w.step;
-        const Cycles next = std::max(ev.time + cfg_.computeGapCycles,
-                                     dep + cfg_.computeGapCycles);
-        pq.push(next, ev.warp);
-    }
-
-    stats.warpInstrs =
-        static_cast<double>(stats.warpSteps) * trace.instrsPerStep();
+            },
+            [&](const WarpEvent &ev, SmId sm) {
+                Cycles done = ev.time;
+                for (const MemAccess &a : lane.buf)
+                    done = std::max(done, mem_.access(ev.time, sm, a.addr,
+                                                      a.write));
+                // The cumulative gauges advance per step, not per
+                // kernel, so a mid-kernel timeline window sees live
+                // progress instead of a stale end-of-last-kernel total.
+                sectorAccessesTotal_ += lane.buf.size();
+                ++warpStepsTotal_;
+                const Cycles lat = done - ev.time;
+                if (tracing && lat >= stall_floor && tr.sampleTick()) {
+                    tr.complete("stall", "warp_stall",
+                                telemetry::kPidNodeBase + smNode_[sm], sm,
+                                ev.time, done,
+                                "{\"cycles\":" + std::to_string(lat) + "}");
+                }
+                lane.completeStep(launch, ev.warp, ev.time, done);
+            }});
 
     if (check_on) {
         // Dispatch conservation at drain: every queue fully consumed and
@@ -515,10 +344,11 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         // a resident-limit accounting bug, not a workload property.
         std::vector<Diagnostic> diags;
         for (int n = 0; n < num_nodes; ++n) {
-            if (cursor[n] != node_queues[n].size()) {
+            const size_t done = lane.cursor[static_cast<size_t>(n)];
+            if (done != node_queues[n].size()) {
                 diags.push_back(
                     {"node" + std::to_string(n) + ".queue",
-                     std::to_string(cursor[n]) + " of " +
+                     std::to_string(done) + " of " +
                          std::to_string(node_queues[n].size()) +
                          " dispatched",
                      "TB queue not drained at kernel end",
@@ -526,10 +356,11 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
             }
         }
         for (TbId tb = 0; tb < dims.numTbs() && diags.size() < 8; ++tb) {
-            if (tb_warps_left[tb] != 0) {
+            const int left = launch.tbWarpsLeft[tb];
+            if (left != 0) {
                 diags.push_back(
                     {"tb" + std::to_string(tb),
-                     std::to_string(tb_warps_left[tb]) + " warps left",
+                     std::to_string(left) + " warps left",
                      "threadblock never fully retired",
                      "warp retirement accounting leaked"});
             }
@@ -540,17 +371,75 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 "threadblocks",
                 std::move(diags));
         }
-        mem_.checkDrained(stats.endCycle);
+        mem_.checkDrained(std::max(start, lane.endCycle));
     }
+    return finishRun(dims, trace, start, lanes, base);
+}
 
+Launch
+KernelEngine::makeLaunch(const LaunchDims &dims,
+                         const std::vector<std::vector<TbId>> &node_queues)
+    const
+{
+    return {node_queues,
+            smNode_,
+            static_cast<int>(ceilDiv(dims.threadsPerTb(), cfg_.warpSize)),
+            cfg_.maxResidentTbsPerSm,
+            std::clamp(cfg_.warpPipelineDepth, 1, 4),
+            cfg_.computeGapCycles,
+            std::vector<int>(static_cast<size_t>(dims.numTbs()), 0),
+            {}};
+}
+
+KernelEngine::LaneBase
+KernelEngine::laneBase(const std::vector<Lane *> &lanes) const
+{
+    // The cumulative totals already include each restored lane's
+    // mid-kernel progress, so the bases subtract it back out (zero on a
+    // fresh run).
+    LaneBase b{warpStepsTotal_, sectorAccessesTotal_, pdesLateEvents_};
+    for (const Lane *ln : lanes) {
+        b.warpSteps -= ln->warpSteps;
+        b.sectorAccesses -= ln->sectorAccesses;
+        b.lateEvents -= ln->lateEvents;
+    }
+    return b;
+}
+
+KernelRunStats
+KernelEngine::finishRun(const LaunchDims &dims, TraceSource &trace,
+                        Cycles start, const std::vector<Lane *> &lanes,
+                        const LaneBase &base)
+{
+    KernelRunStats stats;
+    stats.startCycle = start;
+    stats.endCycle = start;
+    stats.tbCount = dims.numTbs();
+    for (const Lane *ln : lanes) {
+        stats.warpSteps += ln->warpSteps;
+        stats.sectorAccesses += ln->sectorAccesses;
+        stats.totalStepLatency += ln->totalStepLatency;
+        stats.maxStepLatency =
+            std::max(stats.maxStepLatency, ln->maxStepLatency);
+        stats.endCycle = std::max(stats.endCycle, ln->endCycle);
+        if (stepLatencyHist_)
+            stepLatencyHist_->merge(ln->hist);
+    }
+    stats.warpInstrs =
+        static_cast<double>(stats.warpSteps) * trace.instrsPerStep();
+    warpStepsTotal_ = base.warpSteps + stats.warpSteps;
+    sectorAccessesTotal_ = base.sectorAccesses + stats.sectorAccesses;
     ++kernelsRun_;
     tbsDispatchedTotal_ += static_cast<uint64_t>(stats.tbCount);
     return stats;
 }
 
 void
-KernelEngine::saveCumulative(serial::Writer &w) const
+KernelEngine::saveLoop(serial::Writer &w, bool sharded, Cycles clock,
+                       const Launch &launch,
+                       const std::vector<Lane *> &lanes) const
 {
+    w.u8(sharded ? 1 : 0);
     w.u64(kernelsRun_);
     w.u64(warpStepsTotal_);
     w.u64(sectorAccessesTotal_);
@@ -562,11 +451,32 @@ KernelEngine::saveCumulative(serial::Writer &w) const
     // but inherently not comparable across interrupted/uninterrupted
     // runs (docs/robustness.md).
     w.vec(pdesBarrierNs_);
+    w.u64(clock);
+    w.vec(launch.tbWarpsLeft);
+    w.u64(lanes.size());
+    for (const Lane *ln : lanes)
+        ln->save(w);
 }
 
-void
-KernelEngine::loadCumulative(serial::Reader &r)
+Cycles
+KernelEngine::loadLoop(bool sharded, Launch &launch,
+                       const std::vector<Lane *> &lanes)
 {
+    ladm_require(ckpt_ && ckpt_->restorePending(),
+                 "engine resume requested with no restore armed");
+    serial::Reader &r = ckpt_->reader();
+    r.openSection(snapshot::kEngine);
+    if (r.u8() != (sharded ? 1 : 0)) {
+        const std::string mine = sharded ? "sharded PDES" : "serial";
+        const std::string theirs = sharded ? "serial" : "sharded PDES";
+        throw SimError(
+            SimError::Kind::Config, "checkpoint state mismatch",
+            {{"checkpoint.engine", sharded ? "serial" : "sharded",
+              "the checkpoint was written by the " + theirs +
+                  " loop but this run resolves to the " + mine + " loop",
+              "resume with the same --shards / --check / tracing "
+              "setup that produced the checkpoint"}});
+    }
     kernelsRun_ = r.u64();
     warpStepsTotal_ = r.u64();
     sectorAccessesTotal_ = r.u64();
@@ -578,6 +488,83 @@ KernelEngine::loadCumulative(serial::Reader &r)
     // The barrier gauges index by original shard count; never let a
     // (fingerprint-colliding) image change the vector's length.
     pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
+    const Cycles clock = r.u64();
+    const size_t tbs = launch.tbWarpsLeft.size();
+    r.vec(launch.tbWarpsLeft);
+    ladm_require(launch.tbWarpsLeft.size() == tbs,
+                 "checkpoint TB count mismatch");
+    ladm_require(r.u64() == lanes.size(), "checkpoint lane count mismatch");
+    for (Lane *ln : lanes)
+        ln->load(r);
+    ckpt_->finishRestore();
+    ckpt_->noteResumed(clock);
+    return clock;
+}
+
+void
+Lane::save(serial::Writer &w) const
+{
+    w.vec(cursor);
+    w.u8(hasHeld ? 1 : 0);
+    w.u64(held.time);
+    w.u32(held.warp);
+    w.u64(warps.size());
+    for (const WarpState &ws : warps) {
+        w.i64(ws.tb);
+        w.u32(static_cast<uint32_t>(ws.warpInTb));
+        w.u32(static_cast<uint32_t>(ws.sm));
+        w.i64(ws.step);
+        for (const Cycles d : ws.doneRing)
+            w.u64(d);
+    }
+    w.vec(freeWarps);
+    w.u64(sms.size());
+    for (const SmState &s : sms) {
+        w.u32(static_cast<uint32_t>(s.residentTbs));
+        w.u32(static_cast<uint32_t>(s.freeWarpSlots));
+    }
+    w.u64(warpSteps);
+    w.u64(sectorAccesses);
+    w.u64(totalStepLatency);
+    w.u64(maxStepLatency);
+    w.u64(endCycle);
+    w.u64(lateEvents);
+    hist.saveState(w);
+    pq.saveState(w);
+}
+
+void
+Lane::load(serial::Reader &r)
+{
+    const size_t nodes = cursor.size();
+    r.vec(cursor);
+    ladm_require(cursor.size() == nodes, "checkpoint node count mismatch");
+    hasHeld = r.u8() != 0;
+    held.time = r.u64();
+    held.warp = r.u32();
+    warps.resize(r.u64());
+    for (WarpState &ws : warps) {
+        ws.tb = r.i64();
+        ws.warpInTb = static_cast<int>(r.u32());
+        ws.sm = static_cast<SmId>(r.u32());
+        ws.step = r.i64();
+        for (Cycles &d : ws.doneRing)
+            d = r.u64();
+    }
+    r.vec(freeWarps);
+    ladm_require(r.u64() == sms.size(), "checkpoint SM count mismatch");
+    for (SmState &s : sms) {
+        s.residentTbs = static_cast<int>(r.u32());
+        s.freeWarpSlots = static_cast<int>(r.u32());
+    }
+    warpSteps = r.u64();
+    sectorAccesses = r.u64();
+    totalStepLatency = r.u64();
+    maxStepLatency = r.u64();
+    endCycle = r.u64();
+    lateEvents = r.u64();
+    hist.loadState(r);
+    pq.loadState(r);
 }
 
 } // namespace ladm

@@ -43,6 +43,11 @@ namespace snapshot
 {
 class Checkpointer;
 }
+namespace engine_detail
+{
+struct Lane;
+struct Launch;
+} // namespace engine_detail
 
 /** Outcome of one kernel execution. */
 struct KernelRunStats
@@ -158,9 +163,39 @@ class KernelEngine
         const std::vector<std::vector<TbId>> &node_queues, Cycles start,
         bool resume);
 
-    /** Cumulative counters shared by both loops (kEngine section). */
-    void saveCumulative(serial::Writer &w) const;
-    void loadCumulative(serial::Reader &r);
+    using Lane = engine_detail::Lane;
+    using Launch = engine_detail::Launch;
+
+    /** The launch-wide state both loops hand to their lanes. */
+    Launch makeLaunch(const LaunchDims &dims,
+                      const std::vector<std::vector<TbId>> &node_queues)
+        const;
+
+    /** Cumulative totals less the lanes' own (restored) progress. */
+    struct LaneBase
+    {
+        uint64_t warpSteps;
+        uint64_t sectorAccesses;
+        uint64_t lateEvents;
+    };
+    LaneBase laneBase(const std::vector<Lane *> &lanes) const;
+
+    /** Fold the lanes into the run's stats and the cumulative counters. */
+    KernelRunStats finishRun(const LaunchDims &dims, TraceSource &trace,
+                             Cycles start, const std::vector<Lane *> &lanes,
+                             const LaneBase &base);
+
+    /**
+     * Checkpoint image of either loop at a safe point (kEngine section):
+     * loop kind, cumulative counters, the loop clock (serial: last event
+     * cycle; sharded: the advanced window end), TB countdown and every
+     * lane. loadLoop() restores it and returns the clock.
+     */
+    void saveLoop(serial::Writer &w, bool sharded, Cycles clock,
+                  const Launch &launch,
+                  const std::vector<Lane *> &lanes) const;
+    Cycles loadLoop(bool sharded, Launch &launch,
+                    const std::vector<Lane *> &lanes);
 
     const SystemConfig &cfg_;
     MemorySystem &mem_;

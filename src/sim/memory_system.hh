@@ -56,19 +56,41 @@ class MemorySystem
     explicit MemorySystem(const SystemConfig &cfg);
 
     /**
-     * Issue a sector access from SM @p sm at cycle @p now.
+     * Issue a sector access from SM @p sm at cycle @p now, running every
+     * pipeline stage inline.
      * @return completion cycle of the access.
      */
     Cycles access(Cycles now, SmId sm, Addr addr, bool write);
 
+    /**
+     * One sector access in flight through the pipeline stages (see
+     * memory_system.cc). access() keeps it on the stack; a shard lane
+     * parks it in a ShardOp at a split point and executeShardOps()
+     * resumes it there.
+     */
+    struct Access
+    {
+        Cycles now = 0; ///< issue cycle: every resource is booked at it
+        Addr addr = 0;  ///< sector base (line base for a writeback)
+        NodeId node = 0; ///< requester
+        NodeId home = kInvalidNode;
+        bool write = false;
+        bool mapped = false; ///< page was mapped before this access
+        Cycles delay = 0;    ///< latency accrued so far
+        /** Latency-attribution parts (written always, read by obs). */
+        Cycles xbar = 0, fault = 0, net = 0, dram = 0;
+    };
+
     // --- sharded (conservative-PDES) access path ---------------------------
     //
     // The sharded kernel engine partitions warps by NUMA node; each
-    // shard thread calls shardAccess() for its own nodes only. Any part
-    // of the path that would touch another node's state (fabric links,
-    // home-side L2/DRAM, the page table) is deferred as a ShardOp and
-    // executed by executeShardOps() inside the engine's serial barrier
-    // section, in a canonical order independent of the shard count.
+    // shard thread calls shardAccess() for its own nodes only. It runs
+    // the same stages as access() and stops at the first one that would
+    // touch another node's state (the page table on a first touch, a
+    // remote home's fabric legs and L2/DRAM, a remote-homed writeback).
+    // That stage is deferred as a ShardOp and executeShardOps() runs it
+    // -- with the same stage functions -- inside the engine's serial
+    // barrier section, in an order independent of the shard count.
 
     enum class ShardOpKind : uint8_t
     {
@@ -80,16 +102,11 @@ class MemorySystem
     /** One deferred cross-node operation. */
     struct ShardOp
     {
-        Cycles time = 0;  ///< issue cycle (monotone within a lane)
+        Access acc;       ///< the access, frozen at its split point
         uint64_t seq = 0; ///< issue order within the lane
-        Addr addr = 0;
-        NodeId node = 0; ///< requester
-        NodeId home = kInvalidNode;
         ShardOpKind kind = ShardOpKind::RemoteFetch;
-        bool write = false;
-        Cycles partial = 0; ///< node-local delay accrued before deferral
-        Bytes bytes = 0;    ///< writeback payload
-        Cycles done = 0;    ///< completion cycle; executeShardOps() fills
+        Bytes bytes = 0; ///< writeback payload
+        Cycles done = 0; ///< completion cycle; executeShardOps() fills
     };
 
     /** Sentinel "no deferred op" value in ShardAccess::op. */
@@ -112,7 +129,6 @@ class MemorySystem
      */
     struct ShardLane
     {
-        NodeId node = 0;
         uint64_t seq = 0;
         std::vector<ShardOp> ops;
         std::unordered_map<Addr, uint32_t> inflight;
@@ -126,11 +142,10 @@ class MemorySystem
     };
 
     /**
-     * Node-exclusive part of the access path, callable concurrently from
+     * The node-exclusive stages of access(), callable concurrently from
      * shard threads as long as each node's lane has exactly one caller
-     * and no serial-phase code runs simultaneously. L1, crossbar, MSHR
-     * probe, read-only translation, and the local-homed L2/DRAM path
-     * complete inline; anything cross-node returns a deferred op index.
+     * and no serial-phase code runs simultaneously. Returns the
+     * completion cycle, or the index of the deferred op it waits on.
      */
     ShardAccess shardAccess(ShardLane &lane, Cycles now, SmId sm,
                             Addr addr, bool write);
@@ -198,11 +213,11 @@ class MemorySystem
 
     /**
      * Invariant check at a drain point (end of kernel, end of run): no
-     * outstanding miss may complete after @p now, and no mapped page may
-     * home outside the machine. A violation here means an MSHR entry
-     * leaked past the cycle every warp supposedly retired at -- the
-     * engine handed out a completion time nobody waited for.
-     * @throws InvariantViolation listing the leaked sectors.
+     * outstanding miss (MSHR entry) on any node may complete after
+     * @p now. A violation means an entry leaked past the cycle every
+     * warp supposedly retired at -- the engine handed out a completion
+     * time nobody waited for.
+     * @throws InvariantViolation listing the first leaked sectors.
      */
     void checkDrained(Cycles now) const;
 
@@ -219,12 +234,20 @@ class MemorySystem
 
     // --- statistics ---------------------------------------------------------
     /** Requester-side L2 misses served by local HBM. */
-    uint64_t fetchLocal() const;
+    uint64_t
+    fetchLocal() const
+    {
+        return sumCtr(&NodeCounters::fetchLocal);
+    }
     /** Requester-side L2 misses that crossed a chiplet boundary. */
-    uint64_t fetchRemote() const;
+    uint64_t
+    fetchRemote() const
+    {
+        return sumCtr(&NodeCounters::fetchRemote);
+    }
     /** Per-node variants: misses issued by node @p n's SMs. */
-    uint64_t fetchLocal(NodeId n) const { return fetchLocal_[n]; }
-    uint64_t fetchRemote(NodeId n) const { return fetchRemote_[n]; }
+    uint64_t fetchLocal(NodeId n) const { return ctr_[n].fetchLocal; }
+    uint64_t fetchRemote(NodeId n) const { return ctr_[n].fetchRemote; }
     /** Fraction [0,1] of fetches that left the node (Fig. 10 metric). */
     double offChipFraction() const;
 
@@ -346,6 +369,8 @@ class MemorySystem
      */
     struct alignas(64) NodeCounters
     {
+        uint64_t fetchLocal = 0;
+        uint64_t fetchRemote = 0;
         Cycles delayXbar = 0;
         Cycles delayNet = 0;
         Cycles delayDram = 0;
@@ -369,24 +394,40 @@ class MemorySystem
         return v;
     }
 
+    // Pipeline stages (memory_system.cc). The serial path runs them all
+    // inline; a shard lane passes itself as @p lane to the one stage
+    // that may defer from the parallel phase (requesterL2's writeback).
+    // Forced inline: split into functions, they must still compile to
+    // one straight-line access path in each caller.
+    [[gnu::always_inline]] inline bool
+    frontEnd(Access &a, SmId sm, MshrTable::Ref &mshr, Cycles &done);
+    [[gnu::always_inline]] inline Cycles tail(Access &a,
+                                              MshrTable::Ref mshr);
+    [[gnu::always_inline]] inline void translate(Access &a);
+    [[gnu::always_inline]] inline bool requesterL2(Access &a,
+                                                   ShardLane *lane);
+    [[gnu::always_inline]] inline bool issueFetch(Access &a);
+    [[gnu::always_inline]] inline void remoteLeg(Access &a);
+    [[gnu::always_inline]] inline Cycles finish(Access &a,
+                                                MshrTable::Ref mshr);
+
     /** Early-out inline: the overwhelmingly common clean case is free. */
     void
-    handleEviction(Cycles now, NodeId node, const EvictInfo &ev)
+    evict(Cycles now, NodeId node, const EvictInfo &ev, ShardLane *lane)
     {
         if (!ev.evicted || ev.dirtyMask == 0)
             return;
-        handleDirtyEviction(now, node, ev);
+        evictDirty(now, node, ev, lane);
     }
-    void handleDirtyEviction(Cycles now, NodeId node, const EvictInfo &ev);
+    void evictDirty(Cycles now, NodeId node, const EvictInfo &ev,
+                    ShardLane *lane);
+    /** Fire-and-forget: the writeback books bandwidth, nobody waits. */
+    void writeback(Cycles now, NodeId node, NodeId home, Addr line,
+                   Bytes bytes);
+    /** Park @p a in @p lane as a @p kind op the access now waits on. */
+    static ShardAccess defer(ShardLane &lane, const Access &a,
+                             ShardOpKind kind);
 
-    /** Deferred-path twin: resolves the victim's home without touching
-     *  the TLB and defers cross-node writebacks into @p lane. */
-    void shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
-                             const EvictInfo &ev);
-    /** Serial phase: requester-side L2 onward for an Untranslated op. */
-    void finishShardFetch(ShardOp &op);
-    /** Serial phase: both fabric legs + home-side L2/DRAM of a fetch. */
-    void execRemoteLeg(ShardOp &op);
     void
     countClass(NodeId origin, NodeId home, NodeId here, bool hit)
     {
@@ -396,14 +437,11 @@ class MemorySystem
             ++ctr_[origin].clsHit[c];
     }
 
-    /** Cold helpers: decompose a completed access for attribution. */
-    void obsL1Hit(NodeId node);
-    void obsMerge(NodeId node, Cycles xbar, Cycles wait, Cycles total);
-    void obsL2Hit(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                  Cycles total);
-    void obsMiss(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                 Cycles l2, Cycles ring, Cycles link, Cycles dram,
-                 Cycles total);
+    /**
+     * Cold helper: decompose a completed access for attribution. @p l2s
+     * is the number of L2s it passed, @p wait its MSHR wait.
+     */
+    void obsRecord(const Access &a, int l2s, Cycles wait, Cycles total);
 
     const SystemConfig cfg_;
     PageTable pageTable_;
@@ -448,9 +486,6 @@ class MemorySystem
     /** Control-message size for remote read requests / write acks. */
     static constexpr Bytes kCtrlBytes = 8;
 
-    /** Per-requesting-node fetch counts (index = NodeId). */
-    std::vector<uint64_t> fetchLocal_;
-    std::vector<uint64_t> fetchRemote_;
     /** Per-requesting-node counters; getters sum across nodes. */
     std::vector<NodeCounters> ctr_;
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * The sharded conservative-PDES kernel event loop (ROADMAP item 1).
+ * The sharded conservative-PDES kernel event loop.
  *
- * The serial engine (kernel_engine.cc) interleaves every warp of the
- * machine in one global min-heap. This loop instead partitions the
- * machine by NUMA node: each node gets a *lane* -- its own calendar
- * event queue, warp pool, SM occupancy state and MemorySystem shard
- * lane -- and lanes are grouped onto worker threads ("shards") by
+ * The serial engine (kernel_engine.cc) drains one machine-wide lane
+ * (sim/engine_internal.hh) through a global min-heap. This loop instead
+ * partitions the machine by NUMA node: each node gets its own lane --
+ * calendar event queue, warp pool, SM occupancy state -- plus a
+ * MemorySystem shard lane, and lanes are grouped onto worker threads
+ * ("shards") by
  * sched/shard_map.hh. Threads synchronize on conservative time windows
  * (classic PDES): no cross-node transfer completes in less than the
  * minimum cross-node link latency L, so every lane may simulate
@@ -44,14 +45,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
-#include "common/bitutils.hh"
-#include "common/logging.hh"
 #include "common/serial.hh"
-#include "common/sim_error.hh"
 #include "common/spin_barrier.hh"
-#include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "obs/timeline.hh"
 #include "sched/shard_map.hh"
@@ -66,10 +62,7 @@ namespace ladm
 namespace
 {
 
-using engine_detail::SmState;
-using engine_detail::WarpState;
-
-constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
+using engine_detail::kNoEvent;
 
 /** A step that issued deferred ops and waits for them at the barrier. */
 struct Waiter
@@ -77,55 +70,22 @@ struct Waiter
     uint32_t warp;
     Cycles time;    ///< issue cycle of the step
     Cycles done;    ///< max completion of its inline (non-deferred) part
-    uint32_t opOff; ///< first index into Lane::waiterOps
+    uint32_t opOff; ///< first index into PdesLane::waiterOps
     uint32_t opCnt;
 };
 
 /**
- * One NUMA node's private slice of the event loop. Between barriers,
- * exactly one shard thread touches a lane; the barriers' acquire/release
- * ordering covers every cross-phase read (see common/spin_barrier.hh).
+ * One NUMA node's lane plus its window-local memory state. Between
+ * barriers, exactly one shard thread touches a lane; the barriers'
+ * acquire/release ordering covers every cross-phase read (see
+ * common/spin_barrier.hh).
  */
-struct alignas(64) Lane
+struct PdesLane : engine_detail::Lane
 {
-    NodeId node = 0;
-    SmId smLo = 0;
-    size_t cursor = 0; ///< dispatch position in the node's TB queue
-
-    /**
-     * Calendar mode, not Heap: FIFO among equal times is reproducible
-     * under the re-held insertion below, and per-lane queues are what
-     * the calendar's dense-timestamp assumption wants.
-     */
-    EventQueue pq;
-    /** One-slot lookahead buffer (EventQueue has no peek). */
-    bool hasHeld = false;
-    WarpEvent held{0, 0};
-
-    std::vector<WarpState> warps;
-    std::vector<uint32_t> freeWarps;
-    std::vector<SmState> sms; ///< indexed by sm - smLo
+    using Lane::Lane;
     MemorySystem::ShardLane mlane;
     std::vector<Waiter> waiters;
     std::vector<uint32_t> waiterOps;
-    std::vector<MemAccess> buf;
-
-    // Per-lane run stats, folded serially (sums are order-independent).
-    uint64_t warpSteps = 0;
-    uint64_t sectorAccesses = 0;
-    Cycles totalStepLatency = 0;
-    Cycles maxStepLatency = 0;
-    Cycles endCycle = 0;
-    uint64_t lateEvents = 0;
-    Histogram hist;
-
-    Lane(Cycles bucket_width, uint64_t hist_width, size_t hist_buckets)
-        : pq(EventQueue::Mode::Calendar, bucket_width),
-          hist(hist_width, hist_buckets)
-    {
-    }
-
-    Cycles headTime() const { return hasHeld ? held.time : kNoEvent; }
 };
 
 } // namespace
@@ -138,150 +98,65 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
 {
     const int num_nodes = cfg_.numNodes();
     const int num_shards = maxShards_;
-    const int warps_per_tb =
-        static_cast<int>(ceilDiv(dims.threadsPerTb(), cfg_.warpSize));
-    const int depth = std::clamp(cfg_.warpPipelineDepth, 1, 4);
-    const Cycles gap = cfg_.computeGapCycles;
-    const Cycles bucket = std::max<Cycles>(gap, 1);
-
-    KernelRunStats stats;
-    stats.startCycle = start;
-    stats.endCycle = start;
-    stats.tbCount = dims.numTbs();
-
     const ShardMap map = buildShardMap(cfg_, num_shards);
+    Launch launch = makeLaunch(dims, node_queues);
 
-    std::vector<Lane> lanes;
+    // Calendar mode, not Heap: FIFO among equal times is reproducible
+    // under the re-held insertion below, and per-lane queues are what
+    // the calendar's dense-timestamp assumption wants.
+    std::vector<PdesLane> lanes;
     lanes.reserve(static_cast<size_t>(num_nodes));
+    std::vector<Lane *> lane_ptrs;
     for (NodeId n = 0; n < num_nodes; ++n) {
-        lanes.emplace_back(bucket, 8, 32);
-        Lane &ln = lanes.back();
-        ln.node = n;
-        ln.mlane.node = n;
-        SmId lo = 0;
-        int count = 0;
-        for (SmId s = 0; s < cfg_.totalSms(); ++s) {
-            if (smNode_[s] == n) {
-                if (count++ == 0)
-                    lo = s;
-            }
-        }
-        ln.smLo = lo;
-        ln.sms.resize(static_cast<size_t>(count));
-        for (auto &sm : ln.sms)
-            sm.freeWarpSlots = cfg_.warpSlotsPerSm;
+        const auto lo = static_cast<SmId>(
+            std::find(smNode_.begin(), smNode_.end(), n) - smNode_.begin());
+        const auto count = static_cast<int>(
+            std::count(smNode_.begin(), smNode_.end(), n));
+        lanes.emplace_back(EventQueue::Mode::Calendar,
+                           std::max<Cycles>(launch.gap, 1), n, 1, lo,
+                           count, cfg_.warpSlotsPerSm);
+        lane_ptrs.push_back(&lanes.back());
     }
 
-    std::vector<int> tb_warps_left(dims.numTbs(), 0);
-
-    auto admit = [&](Lane &ln, SmId sm, Cycles now) {
-        const auto &q = node_queues[ln.node];
-        SmState &st = ln.sms[static_cast<size_t>(sm - ln.smLo)];
-        while (st.residentTbs < cfg_.maxResidentTbsPerSm &&
-               st.freeWarpSlots >= warps_per_tb && ln.cursor < q.size()) {
-            const TbId tb = q[ln.cursor++];
-            ++st.residentTbs;
-            st.freeWarpSlots -= warps_per_tb;
-            tb_warps_left[tb] = warps_per_tb;
-            for (int w = 0; w < warps_per_tb; ++w) {
-                uint32_t slot;
-                if (!ln.freeWarps.empty()) {
-                    slot = ln.freeWarps.back();
-                    ln.freeWarps.pop_back();
-                } else {
-                    slot = static_cast<uint32_t>(ln.warps.size());
-                    ln.warps.emplace_back();
-                }
-                ln.warps[slot] = WarpState{tb, w, sm, 0, {}};
-                ln.pq.push(now, slot);
-            }
-        }
-    };
-
-    // Same scoreboard rule as the serial loop: the step `depth`
-    // iterations back gates the next issue. Returns the successor
-    // event's cycle.
-    auto completeStep = [&](Lane &ln, uint32_t slot, Cycles ev_time,
-                            Cycles done) {
-        WarpState &w = ln.warps[slot];
-        const Cycles lat = done - ev_time;
-        ln.totalStepLatency += lat;
-        ln.maxStepLatency = std::max(ln.maxStepLatency, lat);
-        ln.hist.sample(lat);
-        w.doneRing[static_cast<size_t>(w.step % depth)] = done;
-        const Cycles dep =
-            w.doneRing[static_cast<size_t>((w.step + 1) % depth)];
-        ++w.step;
-        const Cycles next = std::max(ev_time + gap, dep + gap);
-        ln.pq.push(next, slot);
-        return next;
-    };
-
-    // Phase P: run one lane up to (exclusive) the window end.
-    auto processWindow = [&](Lane &ln, TraceSource &tr, Cycles wend) {
-        for (;;) {
-            if (!ln.hasHeld) {
-                if (ln.pq.empty())
-                    break;
-                ln.held = ln.pq.pop();
-                ln.hasHeld = true;
-            }
-            if (ln.held.time >= wend)
-                break;
-            const WarpEvent ev = ln.held;
-            ln.hasHeld = false;
-            WarpState &w = ln.warps[ev.warp];
-
-            ln.buf.clear();
-            if (!tr.warpStep(w.tb, w.warpInTb, w.step, ln.buf)) {
-                Cycles fin = ev.time;
-                for (const Cycles d : w.doneRing)
-                    fin = std::max(fin, d);
-                SmState &st =
-                    ln.sms[static_cast<size_t>(w.sm - ln.smLo)];
-                ++st.freeWarpSlots;
-                ln.freeWarps.push_back(ev.warp);
-                if (--tb_warps_left[w.tb] == 0) {
-                    --st.residentTbs;
-                    admit(ln, w.sm, fin);
-                }
-                ln.endCycle = std::max(ln.endCycle, fin);
-                continue;
-            }
-
-            ++ln.warpSteps;
-            ln.sectorAccesses += ln.buf.size();
-            Cycles done = ev.time;
-            const auto op_off =
-                static_cast<uint32_t>(ln.waiterOps.size());
-            for (const auto &a : ln.buf) {
-                const MemorySystem::ShardAccess r = mem_.shardAccess(
-                    ln.mlane, ev.time, w.sm, a.addr, a.write);
-                if (r.deferred())
-                    ln.waiterOps.push_back(r.op);
-                else
-                    done = std::max(done, r.done);
-            }
-            const auto op_cnt =
-                static_cast<uint32_t>(ln.waiterOps.size()) - op_off;
-            if (op_cnt == 0)
-                completeStep(ln, ev.warp, ev.time, done);
-            else
-                ln.waiters.push_back(
-                    {ev.warp, ev.time, done, op_off, op_cnt});
-        }
+    // Phase P: run one lane up to (exclusive) the window end. Accesses
+    // that cross a node boundary park the step as a waiter.
+    auto processWindow = [&](PdesLane &ln, TraceSource &tr, Cycles wend) {
+        ln.drain(launch, tr, wend,
+                 engine_detail::stepOnly([&](const WarpEvent &ev,
+                                             SmId sm) {
+                     Cycles done = ev.time;
+                     const auto op_off =
+                         static_cast<uint32_t>(ln.waiterOps.size());
+                     for (const MemAccess &a : ln.buf) {
+                         const MemorySystem::ShardAccess r =
+                             mem_.shardAccess(ln.mlane, ev.time, sm,
+                                              a.addr, a.write);
+                         if (r.deferred())
+                             ln.waiterOps.push_back(r.op);
+                         else
+                             done = std::max(done, r.done);
+                     }
+                     const auto op_cnt =
+                         static_cast<uint32_t>(ln.waiterOps.size()) -
+                         op_off;
+                     if (op_cnt == 0)
+                         ln.completeStep(launch, ev.warp, ev.time, done);
+                     else
+                         ln.waiters.push_back(
+                             {ev.warp, ev.time, done, op_off, op_cnt});
+                 }));
     };
 
     // Phase R: finish this window's deferred steps, then re-normalize
     // the held slot (a resolved step's successor may undercut it).
-    auto resolve = [&](Lane &ln, Cycles wend) {
+    auto resolve = [&](PdesLane &ln, Cycles wend) {
         for (const Waiter &wt : ln.waiters) {
             Cycles done = wt.done;
             for (uint32_t i = 0; i < wt.opCnt; ++i) {
                 const uint32_t op = ln.waiterOps[wt.opOff + i];
                 done = std::max(done, ln.mlane.ops[op].done);
             }
-            if (completeStep(ln, wt.warp, wt.time, done) < wend)
+            if (ln.completeStep(launch, wt.warp, wt.time, done) < wend)
                 ++ln.lateEvents;
         }
         ln.waiters.clear();
@@ -291,147 +166,45 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
             ln.pq.push(ln.held.time, ln.held.warp);
             ln.hasHeld = false;
         }
-        if (!ln.pq.empty()) {
-            ln.held = ln.pq.pop();
-            ln.hasHeld = true;
-        }
+        ln.hold();
     };
 
     // Shared window state: written only inside barrier serial sections,
     // read by every shard after the release -- the barrier's ordering
-    // makes these plain fields race-free. Hoisted above the setup so
-    // the checkpoint lambdas below can capture it.
+    // makes these plain fields race-free.
     Cycles window_end = 0;
     bool run_windows = false;
 
-    // Checkpoint image of the sharded loop, written only inside the
-    // window-advance barrier's serial section (serial_b): every lane is
-    // quiescent there -- resolve() cleared the waiters and the shard
-    // lane's deferred-op outbox, and re-normalized the held slot -- so
-    // per-lane state is closed. window_end is serialized post-advance:
-    // the restored run's next window must batch deferred ops exactly as
-    // the uninterrupted run's would.
-    auto save_sharded = [&](serial::Writer &w) {
-        w.u8(1); // loop kind: sharded PDES
-        saveCumulative(w);
-        w.u64(window_end);
-        w.vec(tb_warps_left);
-        w.u64(lanes.size());
-        for (const Lane &ln : lanes) {
-            w.u64(ln.cursor);
-            w.u8(ln.hasHeld ? 1 : 0);
-            w.u64(ln.held.time);
-            w.u32(ln.held.warp);
-            w.u64(ln.warps.size());
-            for (const WarpState &ws : ln.warps) {
-                w.i64(ws.tb);
-                w.u32(static_cast<uint32_t>(ws.warpInTb));
-                w.u32(static_cast<uint32_t>(ws.sm));
-                w.i64(ws.step);
-                for (const Cycles d : ws.doneRing)
-                    w.u64(d);
-            }
-            w.vec(ln.freeWarps);
-            w.u64(ln.sms.size());
-            for (const SmState &s : ln.sms) {
-                w.u32(static_cast<uint32_t>(s.residentTbs));
-                w.u32(static_cast<uint32_t>(s.freeWarpSlots));
-            }
-            w.u64(ln.warpSteps);
-            w.u64(ln.sectorAccesses);
-            w.u64(ln.totalStepLatency);
-            w.u64(ln.maxStepLatency);
-            w.u64(ln.endCycle);
-            w.u64(ln.lateEvents);
-            ln.hist.saveState(w);
-            ln.pq.saveState(w);
-        }
+    // Checkpoint image, written only inside the window-advance barrier's
+    // serial section (serial_b): every lane is quiescent there --
+    // resolve() cleared the waiters and the shard lane's deferred-op
+    // outbox, and re-normalized the held slot -- so per-lane state is
+    // closed. window_end is serialized post-advance: the restored run's
+    // next window must batch deferred ops exactly as the uninterrupted
+    // run's would.
+    auto save = [&](serial::Writer &w) {
+        saveLoop(w, true, window_end, launch, lane_ptrs);
     };
 
     if (resume) {
-        ladm_require(ckpt_ && ckpt_->restorePending(),
-                     "engine resume requested with no restore armed");
-        serial::Reader &r = ckpt_->reader();
-        r.openSection(snapshot::kEngine);
-        if (r.u8() != 1) {
-            throw SimError(
-                SimError::Kind::Config, "checkpoint state mismatch",
-                {{"checkpoint.engine", "serial",
-                  "the checkpoint was written by the serial loop but "
-                  "this run resolves to the sharded PDES loop",
-                  "resume with the same --shards / --check / tracing "
-                  "setup that produced the checkpoint"}});
-        }
-        loadCumulative(r);
-        window_end = r.u64();
-        r.vec(tb_warps_left);
-        ladm_require(r.u64() == lanes.size(),
-                     "checkpoint lane count mismatch");
-        for (Lane &ln : lanes) {
-            ln.cursor = r.u64();
-            ln.hasHeld = r.u8() != 0;
-            ln.held.time = r.u64();
-            ln.held.warp = r.u32();
-            ln.warps.resize(r.u64());
-            for (WarpState &ws : ln.warps) {
-                ws.tb = r.i64();
-                ws.warpInTb = static_cast<int>(r.u32());
-                ws.sm = static_cast<SmId>(r.u32());
-                ws.step = r.i64();
-                for (Cycles &d : ws.doneRing)
-                    d = r.u64();
-            }
-            r.vec(ln.freeWarps);
-            ladm_require(r.u64() == ln.sms.size(),
-                         "checkpoint SM count mismatch");
-            for (SmState &s : ln.sms) {
-                s.residentTbs = static_cast<int>(r.u32());
-                s.freeWarpSlots = static_cast<int>(r.u32());
-            }
-            ln.warpSteps = r.u64();
-            ln.sectorAccesses = r.u64();
-            ln.totalStepLatency = r.u64();
-            ln.maxStepLatency = r.u64();
-            ln.endCycle = r.u64();
-            ln.lateEvents = r.u64();
-            ln.hist.loadState(r);
-            ln.pq.loadState(r);
-        }
-        ckpt_->finishRestore();
-        ckpt_->noteResumed(window_end);
+        window_end = loadLoop(true, launch, lane_ptrs);
         // Mid-kernel checkpoints are only taken while events remain.
         run_windows = true;
     } else {
         // Serial setup: initial admission and the first window bound.
-        for (Lane &ln : lanes) {
-            for (size_t i = 0; i < ln.sms.size(); ++i)
-                admit(ln, ln.smLo + static_cast<SmId>(i), start);
-            if (!ln.pq.empty()) {
-                ln.held = ln.pq.pop();
-                ln.hasHeld = true;
-            }
-        }
         Cycles min_head = kNoEvent;
-        for (const Lane &ln : lanes)
+        for (PdesLane &ln : lanes) {
+            ln.admitAll(launch, start);
+            ln.hold();
             min_head = std::min(min_head, ln.headTime());
+        }
         if (min_head != kNoEvent) {
             window_end = min_head + lookahead_;
             run_windows = true;
         }
     }
-
-    // The cumulative totals already include each restored lane's
-    // mid-kernel progress, so the bases subtract it back out (zero on a
-    // fresh run): serial_a re-derives the totals as base + lane sums.
-    uint64_t lane_ws = 0, lane_sa = 0, lane_late = 0;
-    for (const Lane &ln : lanes) {
-        lane_ws += ln.warpSteps;
-        lane_sa += ln.sectorAccesses;
-        lane_late += ln.lateEvents;
-    }
-    const uint64_t ws_base = warpStepsTotal_ - lane_ws;
-    const uint64_t sa_base = sectorAccessesTotal_ - lane_sa;
-    const uint64_t late_base = pdesLateEvents_ - lane_late;
+    // serial_a re-derives the totals as base + lane sums.
+    const LaneBase base = laneBase(lane_ptrs);
 
     bool interrupted = false;
     Cycles interrupted_at = 0;
@@ -445,19 +218,19 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
 
         auto serial_a = [&] {
             all_ops.clear();
-            for (Lane &ln : lanes)
+            for (PdesLane &ln : lanes)
                 for (auto &op : ln.mlane.ops)
                     all_ops.push_back(&op);
             mem_.executeShardOps(all_ops);
             pdesDeferredOps_ += all_ops.size();
             ++pdesWindows_;
             uint64_t ws = 0, sa = 0;
-            for (const Lane &ln : lanes) {
+            for (const PdesLane &ln : lanes) {
                 ws += ln.warpSteps;
                 sa += ln.sectorAccesses;
             }
-            warpStepsTotal_ = ws_base + ws;
-            sectorAccessesTotal_ = sa_base + sa;
+            warpStepsTotal_ = base.warpSteps + ws;
+            sectorAccessesTotal_ = base.sectorAccesses + sa;
             if (timeline_)
                 timeline_->maybeTick(window_end);
         };
@@ -470,17 +243,17 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
             const Cycles boundary = window_end;
             Cycles head = kNoEvent;
             uint64_t late = 0;
-            for (const Lane &ln : lanes) {
+            for (const PdesLane &ln : lanes) {
                 head = std::min(head, ln.headTime());
                 late += ln.lateEvents;
             }
-            pdesLateEvents_ = late_base + late;
+            pdesLateEvents_ = base.lateEvents + late;
             if (head == kNoEvent)
                 finished = true;
             else
                 window_end = std::max(window_end, head) + lookahead_;
             if (ckpt_ && !finished && ckpt_->pending(boundary)) {
-                if (ckpt_->capture(boundary, save_sharded)) {
+                if (ckpt_->capture(boundary, save)) {
                     // Stop requested: end the window loop on every
                     // shard; the unwinding throw happens on the caller
                     // thread after the pool drains (workers must not
@@ -536,23 +309,7 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
     if (interrupted)
         throw snapshot::Interrupted(ckpt_->outPath(), interrupted_at);
 
-    for (const Lane &ln : lanes) {
-        stats.warpSteps += ln.warpSteps;
-        stats.sectorAccesses += ln.sectorAccesses;
-        stats.totalStepLatency += ln.totalStepLatency;
-        stats.maxStepLatency =
-            std::max(stats.maxStepLatency, ln.maxStepLatency);
-        stats.endCycle = std::max(stats.endCycle, ln.endCycle);
-        if (stepLatencyHist_)
-            stepLatencyHist_->merge(ln.hist);
-    }
-    stats.warpInstrs =
-        static_cast<double>(stats.warpSteps) * trace.instrsPerStep();
-    warpStepsTotal_ = ws_base + stats.warpSteps;
-    sectorAccessesTotal_ = sa_base + stats.sectorAccesses;
-    ++kernelsRun_;
-    tbsDispatchedTotal_ += static_cast<uint64_t>(stats.tbCount);
-    return stats;
+    return finishRun(dims, trace, start, lane_ptrs, base);
 }
 
 } // namespace ladm

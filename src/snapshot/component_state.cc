@@ -688,10 +688,10 @@ MemorySystem::saveState(serial::Writer &w) const
     w.u64(pending_.size());
     for (const MshrTable &t : pending_)
         t.saveState(w);
-    w.vec(fetchLocal_);
-    w.vec(fetchRemote_);
     w.u64(ctr_.size());
     for (const NodeCounters &c : ctr_) {
+        w.u64(c.fetchLocal);
+        w.u64(c.fetchRemote);
         w.u64(c.delayXbar);
         w.u64(c.delayNet);
         w.u64(c.delayDram);
@@ -731,10 +731,10 @@ MemorySystem::loadState(serial::Reader &r)
     expectCount(r.u64(), pending_.size(), "MSHR tables");
     for (MshrTable &t : pending_)
         t.loadState(r);
-    r.vec(fetchLocal_);
-    r.vec(fetchRemote_);
     expectCount(r.u64(), ctr_.size(), "node counters");
     for (NodeCounters &c : ctr_) {
+        c.fetchLocal = r.u64();
+        c.fetchRemote = r.u64();
         c.delayXbar = r.u64();
         c.delayNet = r.u64();
         c.delayDram = r.u64();

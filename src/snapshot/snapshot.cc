@@ -115,7 +115,6 @@ configFingerprint(const SystemConfig &c)
     f.pod(c.maxResidentTbsPerSm);
     f.pod(c.computeGapCycles);
     f.pod(c.warpPipelineDepth);
-    f.pod(c.engineCalendarQueue);
     f.pod(c.resolvedShards());
     f.pod(c.l1SizePerSm);
     f.pod(c.l1Assoc);

@@ -263,9 +263,10 @@ TEST_F(SnapshotTest, ReaderRejectsCorruptedSection)
 
 TEST_F(SnapshotTest, PreviousFormatVersionRefused)
 {
-    // Version 2 changed the MSHR slot and cache way layouts and dropped
-    // the memory section's sweep watermarks: an older image must be
-    // refused at the header, never parsed against the new layout.
+    // Version 3 gave both event loops one lane image and moved the fetch
+    // counters into the per-node counters (version 2 changed the MSHR
+    // slot and cache way layouts): an older image must be refused at the
+    // header, never parsed against the new layout.
     serial::Writer w;
     w.beginSection(1);
     w.u64(1);
