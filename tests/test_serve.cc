@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -183,6 +184,18 @@ TEST(ServeDecision, HashSeparatesRequestsAndDeadlineDoesNot)
     PlacementRequest c = sgemmRequest(32);
     c.deadlineUs = 12345; // how long you wait never changes the answer
     EXPECT_EQ(requestIrHash(a), requestIrHash(c));
+}
+
+TEST(ServeDecision, DecisionKeyHashesPinned)
+{
+    // Journals are keyed by these two hashes: a change to either makes
+    // every journaled decision miss once after an upgrade. Pinned to the
+    // values the original FNV-1a walks produced.
+    ::unsetenv("LADM_SHARDS"); // the fingerprint hashes resolvedShards()
+    EXPECT_EQ(requestIrHash(sgemmRequest()), 0xa38182cbae4f39ddull);
+    EXPECT_EQ(snapshot::configFingerprint(
+                  resolveTopology("multi-gpu-4x4", "")),
+              0xfd316b11905b897cull);
 }
 
 TEST(ServeDecision, UnknownTopologyIsBadRequest)
