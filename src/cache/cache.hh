@@ -32,12 +32,6 @@ namespace telemetry
 class StatRegistry;
 }
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 /** Outcome of one cache lookup. */
 enum class AccessResult
 {
@@ -172,8 +166,7 @@ class SectoredCache
     void debugAdvanceClock(uint64_t n) { useClock_ += n; }
 
     /** Checkpoint tags/metadata/LRU clock (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     static constexpr int kSectorsPerLine =

@@ -29,12 +29,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 class BandwidthServer
 {
   public:
@@ -122,8 +116,7 @@ class BandwidthServer
      * configured rate and IEEE division is deterministic, so a cold memo
      * refills with bit-identical values.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     /**

@@ -15,12 +15,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 /**
  * xoshiro256** generator. Small, fast, and good enough statistical quality
  * for synthetic-workload generation; not for cryptography.
@@ -51,8 +45,7 @@ class Rng
     uint64_t nextZipf(uint64_t n, double alpha);
 
     /** Checkpoint the stream position (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     uint64_t state_[4];

@@ -1,6 +1,7 @@
 #include "common/serial.hh"
 
 #include <array>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -43,19 +44,21 @@ crc32(const void *data, size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
-void
-Writer::beginSection(uint32_t id)
+bool
+Writer::section(uint32_t id, bool)
 {
-    ladm_assert(!open_, "serial::Writer: nested section ", id);
+    seal();
     open_ = true;
     sectionId_ = id;
     section_.clear();
+    return true;
 }
 
 void
-Writer::endSection()
+Writer::seal()
 {
-    ladm_assert(open_, "serial::Writer: endSection without begin");
+    if (!open_)
+        return;
     open_ = false;
     const uint64_t len = section_.size();
     const uint32_t crc = crc32(section_.data(), section_.size());
@@ -70,7 +73,7 @@ Writer::endSection()
 std::string
 Writer::finish(uint64_t fingerprint)
 {
-    ladm_assert(!open_, "serial::Writer: finish with open section");
+    seal();
     std::string out;
     out.reserve(sizeof kMagic + 16 + buf_.size());
     out.append(kMagic, sizeof kMagic);
@@ -86,7 +89,7 @@ Writer::finish(uint64_t fingerprint)
 }
 
 void
-Writer::raw(const void *p, size_t n)
+Writer::bytes(const void *p, size_t n)
 {
     ladm_assert(open_, "serial::Writer: write outside a section");
     section_.append(static_cast<const char *>(p), n);
@@ -151,32 +154,27 @@ Reader::fromFile(const std::string &path)
     return Reader(ss.str());
 }
 
-void
-Reader::openSection(uint32_t id)
+bool
+Reader::section(uint32_t id, bool optional)
 {
     auto it = sections_.find(id);
-    if (it == sections_.end())
+    if (it == sections_.end()) {
+        if (optional)
+            return false;
         corrupt("section " + std::to_string(id) + " missing");
+    }
     cur_ = it->second.off;
     end_ = it->second.off + it->second.len;
-}
-
-std::string
-Reader::str()
-{
-    const uint64_t n = u64();
-    checkCount(n, 1);
-    std::string s(image_.data() + cur_, static_cast<size_t>(n));
-    cur_ += static_cast<size_t>(n);
-    return s;
+    return true;
 }
 
 void
-Reader::raw(void *p, size_t n)
+Reader::bytes(void *p, size_t n)
 {
-    if (cur_ + n > end_)
+    if (n > end_ - cur_)
         corrupt("read past end of section");
-    std::memcpy(p, image_.data() + cur_, n);
+    if (n != 0) // an empty vector's data() may be null
+        std::memcpy(p, image_.data() + cur_, n);
     cur_ += n;
 }
 
@@ -185,6 +183,19 @@ Reader::checkCount(uint64_t n, size_t elem) const
 {
     if (n > (end_ - cur_) / elem)
         corrupt("element count exceeds section size");
+}
+
+void
+Reader::mismatch(const char *what, uint64_t got, uint64_t want) const
+{
+    throw SimError(
+        SimError::Kind::Config, "checkpoint state mismatch",
+        {{"checkpoint.state",
+          std::string(what) + ": checkpoint has " + std::to_string(got) +
+              ", simulator has " + std::to_string(want),
+          "restored structure must match the constructed simulator",
+          "the checkpoint was written by a different configuration or "
+          "build; re-run without --resume"}});
 }
 
 void

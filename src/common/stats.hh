@@ -25,12 +25,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 /** What a published statistic value represents (drives delta semantics). */
 enum class StatKind
 {
@@ -56,8 +50,7 @@ class Counter
     uint64_t value() const { return value_; }
 
     /** Checkpoint support (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     uint64_t value_ = 0;
@@ -74,8 +67,7 @@ class Average
     uint64_t count() const { return count_; }
 
     /** Checkpoint support (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     double sum_ = 0.0;
@@ -138,8 +130,7 @@ class Histogram
     }
 
     /** Checkpoint support, including geometry (component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     uint64_t bucketWidth_;
@@ -200,8 +191,7 @@ class LogHistogram
     double percentile(double q) const;
 
     /** Checkpoint support (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     uint64_t buckets_[kNumBuckets] = {};
@@ -269,8 +259,7 @@ class StatGroup
      * Checkpoint every named entry; load re-creates entries that were
      * registered lazily (snapshot/component_state.cc).
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     std::string name_;

@@ -60,49 +60,29 @@ hexDecode(const std::string &hex, std::string &out)
 // byte-identical to the freshly-computed one in every sink.
 constexpr uint32_t kMetricsSection = 1;
 
+/** The metrics blob's one field list, for packMetrics and unpackMetrics. */
+template <class Ar>
+void
+metricsIo(Ar &ar, RunMetrics &m)
+{
+    ar(m.workload, m.policy, m.system, m.scheduler);
+    ar.choice(m.insertPolicy, L2InsertPolicy::ROnce);
+    ar(m.cycles, m.tbCount, m.warpSteps, m.sectorAccesses, m.warpInstrs,
+       m.fetchLocal, m.fetchRemote, m.nodeFetchLocal, m.nodeFetchRemote,
+       m.offChipPct, m.interNodeBytes, m.interGpuBytes, m.l1HitRate,
+       m.l2HitRate, m.l2Mpki, m.uvmFaults, m.classAccesses, m.classHitRate,
+       m.rehomedPages, m.failedNodeAccesses, m.hasLatency);
+    for (obs::LatSummary &s : m.latency)
+        ar(s.samples, s.mean, s.p50, s.p95, s.p99, s.max);
+    ar(m.error);
+}
+
 std::string
-packMetrics(const RunMetrics &m)
+packMetrics(RunMetrics m)
 {
     serial::Writer w;
-    w.beginSection(kMetricsSection);
-    w.str(m.workload);
-    w.str(m.policy);
-    w.str(m.system);
-    w.str(m.scheduler);
-    w.u8(static_cast<uint8_t>(m.insertPolicy));
-    w.u64(m.cycles);
-    w.u64(m.tbCount);
-    w.u64(m.warpSteps);
-    w.u64(m.sectorAccesses);
-    w.f64(m.warpInstrs);
-    w.u64(m.fetchLocal);
-    w.u64(m.fetchRemote);
-    w.vec(m.nodeFetchLocal);
-    w.vec(m.nodeFetchRemote);
-    w.f64(m.offChipPct);
-    w.u64(m.interNodeBytes);
-    w.u64(m.interGpuBytes);
-    w.f64(m.l1HitRate);
-    w.f64(m.l2HitRate);
-    w.f64(m.l2Mpki);
-    w.u64(m.uvmFaults);
-    for (const uint64_t v : m.classAccesses)
-        w.u64(v);
-    for (const double v : m.classHitRate)
-        w.f64(v);
-    w.u64(m.rehomedPages);
-    w.u64(m.failedNodeAccesses);
-    w.u8(m.hasLatency ? 1 : 0);
-    for (const obs::LatSummary &s : m.latency) {
-        w.u64(s.samples);
-        w.f64(s.mean);
-        w.f64(s.p50);
-        w.f64(s.p95);
-        w.f64(s.p99);
-        w.u64(s.max);
-    }
-    w.str(m.error);
-    w.endSection();
+    w.section(kMetricsSection);
+    metricsIo(w, m);
     return w.finish(0);
 }
 
@@ -112,44 +92,8 @@ unpackMetrics(const std::string &blob, RunMetrics &m)
 {
     try {
         serial::Reader r(blob);
-        r.openSection(kMetricsSection);
-        m.workload = r.str();
-        m.policy = r.str();
-        m.system = r.str();
-        m.scheduler = r.str();
-        m.insertPolicy = static_cast<L2InsertPolicy>(r.u8());
-        m.cycles = r.u64();
-        m.tbCount = r.u64();
-        m.warpSteps = r.u64();
-        m.sectorAccesses = r.u64();
-        m.warpInstrs = r.f64();
-        m.fetchLocal = r.u64();
-        m.fetchRemote = r.u64();
-        r.vec(m.nodeFetchLocal);
-        r.vec(m.nodeFetchRemote);
-        m.offChipPct = r.f64();
-        m.interNodeBytes = r.u64();
-        m.interGpuBytes = r.u64();
-        m.l1HitRate = r.f64();
-        m.l2HitRate = r.f64();
-        m.l2Mpki = r.f64();
-        m.uvmFaults = r.u64();
-        for (uint64_t &v : m.classAccesses)
-            v = r.u64();
-        for (double &v : m.classHitRate)
-            v = r.f64();
-        m.rehomedPages = r.u64();
-        m.failedNodeAccesses = r.u64();
-        m.hasLatency = r.u8() != 0;
-        for (obs::LatSummary &s : m.latency) {
-            s.samples = r.u64();
-            s.mean = r.f64();
-            s.p50 = r.f64();
-            s.p95 = r.f64();
-            s.p99 = r.f64();
-            s.max = r.u64();
-        }
-        m.error = r.str();
+        r.section(kMetricsSection);
+        metricsIo(r, m);
         return true;
     } catch (const std::exception &) {
         return false;

@@ -25,14 +25,17 @@ class CrossbarNet : public Network
                        std::function<Cycles()> now = {}) const override;
     void reset() override;
     void resetStats() override;
-    void saveState(serial::Writer &w) const override;
-    void loadState(serial::Reader &r) override;
+    void io(serial::Writer &ar) override;
+    void io(serial::Reader &ar) override;
+    void io(serial::Hasher &ar) override;
 
   protected:
     Cycles delayImpl(Cycles now, NodeId src, NodeId dst,
                      Bytes bytes) override;
 
   private:
+    template <class Ar> void fields(Ar &ar);
+
     std::vector<Link> egress_;
     std::vector<Link> ingress_;
     Cycles switchLatency_;

@@ -27,8 +27,9 @@ class HierarchicalNet : public Network
                        std::function<Cycles()> now = {}) const override;
     void reset() override;
     void resetStats() override;
-    void saveState(serial::Writer &w) const override;
-    void loadState(serial::Reader &r) override;
+    void io(serial::Writer &ar) override;
+    void io(serial::Reader &ar) override;
+    void io(serial::Hasher &ar) override;
 
     /** Bytes that crossed the inter-GPU switch (for traffic reports). */
     Bytes switchBytes() const;
@@ -38,6 +39,8 @@ class HierarchicalNet : public Network
                      Bytes bytes) override;
 
   private:
+    template <class Ar> void fields(Ar &ar);
+
     std::vector<RingFabric> rings_;  // one per GPU
     std::vector<Link> gpuEgress_;
     std::vector<Link> gpuIngress_;

@@ -72,8 +72,7 @@ class Link
     Cycles latency() const { return server_.latency(); }
 
     /** Checkpoint the underlying server (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const { server_.saveState(w); }
-    void loadState(serial::Reader &r) { server_.loadState(r); }
+    template <class Ar> void io(Ar &ar);
 
   private:
     std::string name_;

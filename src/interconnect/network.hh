@@ -37,6 +37,7 @@ namespace serial
 {
 class Writer;
 class Reader;
+class Hasher;
 } // namespace serial
 
 class Network
@@ -114,14 +115,18 @@ class Network
     }
 
     /**
-     * Checkpoint the fabric's timing + byte accounting. The base class
+     * Checkpoint the fabric's timing + byte accounting: one overload per
+     * archive, each running the topology's fields() list. The base class
      * covers the boundary-crossing totals; topologies append their link
      * servers in a fixed order (snapshot/component_state.cc).
      */
-    virtual void saveState(serial::Writer &w) const;
-    virtual void loadState(serial::Reader &r);
+    virtual void io(serial::Writer &ar);
+    virtual void io(serial::Reader &ar);
+    virtual void io(serial::Hasher &ar);
 
   protected:
+    template <class Ar> void fields(Ar &ar);
+
     virtual Cycles delayImpl(Cycles now, NodeId src, NodeId dst,
                              Bytes bytes) = 0;
 

@@ -48,8 +48,7 @@ class RingFabric
     void resetStats();
 
     /** Checkpoint every segment server (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     int n_;
@@ -68,14 +67,17 @@ class RingNet : public Network
                        std::function<Cycles()> now = {}) const override;
     void reset() override;
     void resetStats() override;
-    void saveState(serial::Writer &w) const override;
-    void loadState(serial::Reader &r) override;
+    void io(serial::Writer &ar) override;
+    void io(serial::Reader &ar) override;
+    void io(serial::Hasher &ar) override;
 
   protected:
     Cycles delayImpl(Cycles now, NodeId src, NodeId dst,
                      Bytes bytes) override;
 
   private:
+    template <class Ar> void fields(Ar &ar);
+
     RingFabric ring_;
 };
 

@@ -55,8 +55,7 @@ class Dram
     }
 
     /** Checkpoint channel timing + counters (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     BandwidthServer server_;

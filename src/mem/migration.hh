@@ -80,8 +80,7 @@ class MigrationEngine
     }
 
     /** Checkpoint streak tracking (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct Streak

@@ -42,12 +42,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 class PageTable
 {
   public:
@@ -174,8 +168,7 @@ class PageTable
      * stats, so restoring with a cold TLB would diverge from the
      * uninterrupted run.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     enum class SegKind : uint8_t
@@ -194,18 +187,24 @@ class PageTable
         NodeId node = kInvalidNode; ///< Uniform only
         Bytes granule = 0;          ///< interleave granule / row bytes
         std::vector<NodeId> nodes;  ///< interleave RR list / row map
+
+        template <class Ar> void io(Ar &ar);
     };
 
     struct PageExc
     {
         NodeId node = kInvalidNode;
         uint64_t gen = 0;
+
+        template <class Ar> void io(Ar &ar);
     };
 
     struct TlbEntry
     {
         uint64_t tag = 0; ///< page number + 1; 0 = empty
         NodeId node = kInvalidNode;
+
+        template <class Ar> void io(Ar &ar);
     };
 
     /** Direct-mapped TLB size (entries); must be a power of two. */

@@ -72,8 +72,7 @@ class Uvm
     void reset() { faults_ = 0; }
 
     /** Checkpoint the fault counter (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     Cycles faultCycles_;

@@ -30,12 +30,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 namespace obs
 {
 
@@ -45,6 +39,8 @@ struct TimelineWindow
     Cycles start = 0;
     Cycles end = 0;
     std::vector<double> delta; ///< parallel to Timeline::paths()
+
+    template <class Ar> void io(Ar &ar);
 };
 
 class Timeline
@@ -85,8 +81,7 @@ class Timeline
      * (snapshot/component_state.cc) so a resumed run's telescoping sums
      * stay bit-exact.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     void tick(Cycles now);

@@ -1,6 +1,7 @@
 #include "serve/decision.hh"
 
 #include "cache/insertion_policy.hh"
+#include "common/serial.hh"
 #include "compiler/parser.hh"
 #include "config/presets.hh"
 #include "mem/page_table.hh"
@@ -15,31 +16,6 @@ namespace serve
 
 namespace
 {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-struct Fnv
-{
-    uint64_t h = kFnvOffset;
-
-    void
-    bytes(const void *p, size_t n)
-    {
-        const unsigned char *c = static_cast<const unsigned char *>(p);
-        for (size_t i = 0; i < n; ++i) {
-            h ^= c[i];
-            h *= kFnvPrime;
-        }
-    }
-    void str(const std::string &s) { bytes(s.data(), s.size()); }
-    template <typename T>
-    void
-    pod(const T &v)
-    {
-        bytes(&v, sizeof v);
-    }
-};
 
 /** Default allocation size when the request omits argBytes entries:
  *  one element per thread, the common dense-kernel shape. */
@@ -128,18 +104,16 @@ PlacementDecision::decode(const std::string &bytes)
 uint64_t
 requestIrHash(const PlacementRequest &req)
 {
-    Fnv f;
-    f.str(req.kernelSource);
-    f.pod(req.dims.grid.x);
-    f.pod(req.dims.grid.y);
-    f.pod(req.dims.block.x);
-    f.pod(req.dims.block.y);
-    f.pod(req.dims.loopTrips);
-    for (uint64_t b : req.argBytes)
-        f.pod(b);
+    // Kernel text and argument sizes hash without length prefixes: the
+    // key journals were written under.
+    serial::Hasher h;
+    h.bytes(req.kernelSource.data(), req.kernelSource.size());
+    h(req.dims.grid.x, req.dims.grid.y, req.dims.block.x, req.dims.block.y,
+      req.dims.loopTrips);
+    h.bytes(req.argBytes.data(), req.argBytes.size() * sizeof(uint64_t));
     // deadlineUs deliberately excluded: the decision does not depend on
     // how long the caller is willing to wait for it.
-    return f.h;
+    return h.value();
 }
 
 SystemConfig

@@ -131,15 +131,19 @@ Server::shutdown()
         return;
     }
 
-    // 1. Stop accepting. Closing the fd pops the accept thread out of
-    //    poll/accept.
-    if (listenFd_ >= 0) {
+    // 1. Stop accepting. Shutting the socket down pops the accept
+    //    thread out of poll/accept (its 100 ms poll timeout bounds the
+    //    wait regardless). The accept thread is the fd's only user while
+    //    it runs, so the fd is closed -- and its number freed for reuse
+    //    -- only after the join.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
 
     // 2. Finish what was admitted. Connection threads still waiting on
     //    their Pending get answers (new submissions now shed as

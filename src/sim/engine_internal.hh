@@ -26,12 +26,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 namespace engine_detail
 {
 
@@ -279,8 +273,7 @@ struct alignas(64) Lane
 
     /** Checkpoint image of the lane (queue layout included: equal-time
      *  pop order is behavior-relevant). Defined in kernel_engine.cc. */
-    void save(serial::Writer &w) const;
-    void load(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 };
 
 } // namespace engine_detail

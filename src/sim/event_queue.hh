@@ -45,12 +45,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 /** One pending wake-up: warp slot @p warp acts at cycle @p time. */
 struct WarpEvent
 {
@@ -58,6 +52,7 @@ struct WarpEvent
     uint32_t warp;
 
     bool operator>(const WarpEvent &o) const { return time > o.time; }
+    template <class Ar> void io(Ar &ar);
 };
 
 class EventQueue
@@ -127,8 +122,7 @@ class EventQueue
      * is behavior-relevant (simultaneous accesses book bandwidth in pop
      * order), so restore must reproduce the exact internal layout.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct Entry
@@ -142,6 +136,7 @@ class EventQueue
         {
             return time != o.time ? time > o.time : seq > o.seq;
         }
+        template <class Ar> void io(Ar &ar);
     };
 
     /**

@@ -100,63 +100,28 @@ GpuSystem::runKernel(const LaunchDims &dims, TraceSource &trace,
     return s;
 }
 
+template <class Ar>
 void
-GpuSystem::saveState(serial::Writer &w) const
+GpuSystem::io(Ar &ar)
 {
-    w.beginSection(snapshot::kSystem);
-    w.u64(now_);
-    w.u32(static_cast<uint32_t>(kernelIndex_));
-    w.u64(kernelLog_.size());
-    for (const telemetry::KernelRecord &rec : kernelLog_) {
-        w.u32(static_cast<uint32_t>(rec.index));
-        w.u64(rec.startCycle);
-        w.u64(rec.endCycle);
-        rec.stats.saveState(w);
-    }
-    kernelStartSnap_.saveState(w);
-    w.endSection();
-
-    w.beginSection(snapshot::kMemory);
-    mem_.saveState(w);
-    w.endSection();
-
-    w.beginSection(snapshot::kRegistry);
-    reg_.saveState(w);
-    w.endSection();
-
-    if (obs_ && obs_->timeline()) {
-        w.beginSection(snapshot::kTimeline);
-        obs_->timeline()->saveState(w);
-        w.endSection();
-    }
-}
-
-void
-GpuSystem::loadState(serial::Reader &r)
-{
-    r.openSection(snapshot::kSystem);
-    now_ = r.u64();
-    kernelIndex_ = static_cast<int>(r.u32());
-    kernelLog_.resize(r.u64());
-    for (telemetry::KernelRecord &rec : kernelLog_) {
-        rec.index = static_cast<int>(r.u32());
-        rec.startCycle = r.u64();
-        rec.endCycle = r.u64();
-        rec.stats.loadState(r);
-    }
-    kernelStartSnap_.loadState(r);
-
-    r.openSection(snapshot::kMemory);
-    mem_.loadState(r);
-
-    r.openSection(snapshot::kRegistry);
-    reg_.loadState(r);
-
+    ar.section(snapshot::kSystem);
+    ar(now_, kernelIndex_, kernelLog_, kernelStartSnap_, engine_);
+    ar.section(snapshot::kMemory);
+    ar(mem_);
+    ar.section(snapshot::kRegistry);
+    ar(reg_);
     if (obs_ && obs_->timeline() &&
-        r.hasSection(snapshot::kTimeline)) {
-        r.openSection(snapshot::kTimeline);
-        obs_->timeline()->loadState(r);
-    }
+        ar.section(snapshot::kTimeline, /*optional=*/true))
+        ar(*obs_->timeline());
+}
+LADM_SERIAL_INSTANTIATE(GpuSystem);
+
+uint64_t
+GpuSystem::stateDigest() const
+{
+    serial::Hasher h;
+    const_cast<GpuSystem *>(this)->io(h); // hashing only reads
+    return h.value();
 }
 
 } // namespace ladm

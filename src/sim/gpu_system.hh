@@ -25,12 +25,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 namespace snapshot
 {
 class Checkpointer;
@@ -74,13 +68,21 @@ class GpuSystem
     void attachCheckpointer(snapshot::Checkpointer *ckpt);
 
     /**
-     * Write / restore this machine's complete state as the kSystem +
-     * kMemory + kRegistry (+ kTimeline) checkpoint sections. Must only
-     * run at an engine safe point (between events / at a window
-     * barrier): no access is in flight, so component state is closed.
+     * Write / restore / hash this machine's complete state as the
+     * kSystem + kMemory + kRegistry (+ kTimeline) checkpoint sections.
+     * Must only run at an engine safe point (between events / at a
+     * window barrier): no access is in flight, so component state is
+     * closed. The running kernel's event-loop lanes are not included;
+     * the engine writes them as the kEngine section.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
+
+    /**
+     * FNV-1a digest of the same io() walk, minus the host wall-clock
+     * barrier-wait gauges: equal machine states give equal digests,
+     * whichever run or restore produced them.
+     */
+    uint64_t stateDigest() const;
 
     /** Resolved engine shard count (1 = serial reference loop). */
     int engineShards() const { return engine_.maxShards(); }

@@ -239,10 +239,10 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     // Checkpoints are taken at the top of the loop, before the pop: the
     // queue is consistent and no access is in flight.
     auto save = [&](serial::Writer &w) {
-        saveLoop(w, false, cur, launch, lanes);
+        loopIo(w, false, cur, launch, lanes);
     };
     if (resume)
-        cur = loadLoop(false, launch, lanes);
+        cur = resumeLoop(false, launch, lanes);
     else
         lane.admitAll(launch, start);
     const LaneBase base = laneBase(lanes);
@@ -434,39 +434,43 @@ KernelEngine::finishRun(const LaunchDims &dims, TraceSource &trace,
     return stats;
 }
 
+template <class Ar>
 void
-KernelEngine::saveLoop(serial::Writer &w, bool sharded, Cycles clock,
-                       const Launch &launch,
-                       const std::vector<Lane *> &lanes) const
+Lane::io(Ar &ar)
 {
-    w.u8(sharded ? 1 : 0);
-    w.u64(kernelsRun_);
-    w.u64(warpStepsTotal_);
-    w.u64(sectorAccessesTotal_);
-    w.u64(tbsDispatchedTotal_);
-    w.u64(pdesWindows_);
-    w.u64(pdesDeferredOps_);
-    w.u64(pdesLateEvents_);
-    // Wall-clock observability; restored so the gauge stays monotone,
-    // but inherently not comparable across interrupted/uninterrupted
-    // runs (docs/robustness.md).
-    w.vec(pdesBarrierNs_);
-    w.u64(clock);
-    w.vec(launch.tbWarpsLeft);
-    w.u64(lanes.size());
-    for (const Lane *ln : lanes)
-        ln->save(w);
+    ar.fixed(cursor, "lane nodes");
+    ar(hasHeld, held, warps, freeWarps);
+    ar.fixed(sms, "lane SMs");
+    ar(warpSteps, sectorAccesses, totalStepLatency, maxStepLatency, endCycle,
+       lateEvents, hist, pq);
 }
 
-Cycles
-KernelEngine::loadLoop(bool sharded, Launch &launch,
-                       const std::vector<Lane *> &lanes)
+template <class Ar>
+void
+KernelEngine::io(Ar &ar)
 {
-    ladm_require(ckpt_ && ckpt_->restorePending(),
-                 "engine resume requested with no restore armed");
-    serial::Reader &r = ckpt_->reader();
-    r.openSection(snapshot::kEngine);
-    if (r.u8() != (sharded ? 1 : 0)) {
+    ar(kernelsRun_, warpStepsTotal_, sectorAccessesTotal_,
+       tbsDispatchedTotal_, pdesWindows_, pdesDeferredOps_, pdesLateEvents_);
+    // Wall-clock observability: restored so the gauge stays monotone,
+    // but inherently not comparable across interrupted/uninterrupted
+    // runs (docs/robustness.md), so kept out of the state digest.
+    if constexpr (!std::is_same_v<Ar, serial::Hasher>)
+        ar(pdesBarrierNs_);
+    // The barrier gauges index by original shard count; never let a
+    // (fingerprint-colliding) image change the vector's length.
+    if constexpr (Ar::kLoading)
+        pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
+}
+LADM_SERIAL_INSTANTIATE(KernelEngine);
+
+template <class Ar>
+void
+KernelEngine::loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
+                     const std::vector<Lane *> &lanes)
+{
+    bool was_sharded = sharded;
+    ar(was_sharded);
+    if (was_sharded != sharded) {
         const std::string mine = sharded ? "sharded PDES" : "serial";
         const std::string theirs = sharded ? "serial" : "sharded PDES";
         throw SimError(
@@ -477,94 +481,26 @@ KernelEngine::loadLoop(bool sharded, Launch &launch,
               "resume with the same --shards / --check / tracing "
               "setup that produced the checkpoint"}});
     }
-    kernelsRun_ = r.u64();
-    warpStepsTotal_ = r.u64();
-    sectorAccessesTotal_ = r.u64();
-    tbsDispatchedTotal_ = r.u64();
-    pdesWindows_ = r.u64();
-    pdesDeferredOps_ = r.u64();
-    pdesLateEvents_ = r.u64();
-    r.vec(pdesBarrierNs_);
-    // The barrier gauges index by original shard count; never let a
-    // (fingerprint-colliding) image change the vector's length.
-    pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
-    const Cycles clock = r.u64();
-    const size_t tbs = launch.tbWarpsLeft.size();
-    r.vec(launch.tbWarpsLeft);
-    ladm_require(launch.tbWarpsLeft.size() == tbs,
-                 "checkpoint TB count mismatch");
-    ladm_require(r.u64() == lanes.size(), "checkpoint lane count mismatch");
-    for (Lane *ln : lanes)
-        ln->load(r);
+    ar(clock);
+    ar.fixed(launch.tbWarpsLeft, "threadblocks");
+    ar.fixed(lanes, "engine lanes");
+}
+template void KernelEngine::loopIo(serial::Writer &, bool, Cycles &,
+                                   Launch &, const std::vector<Lane *> &);
+
+Cycles
+KernelEngine::resumeLoop(bool sharded, Launch &launch,
+                         const std::vector<Lane *> &lanes)
+{
+    ladm_require(ckpt_ && ckpt_->restorePending(),
+                 "engine resume requested with no restore armed");
+    serial::Reader &r = ckpt_->reader();
+    r.section(snapshot::kEngine);
+    Cycles clock = 0;
+    loopIo(r, sharded, clock, launch, lanes);
     ckpt_->finishRestore();
     ckpt_->noteResumed(clock);
     return clock;
-}
-
-void
-Lane::save(serial::Writer &w) const
-{
-    w.vec(cursor);
-    w.u8(hasHeld ? 1 : 0);
-    w.u64(held.time);
-    w.u32(held.warp);
-    w.u64(warps.size());
-    for (const WarpState &ws : warps) {
-        w.i64(ws.tb);
-        w.u32(static_cast<uint32_t>(ws.warpInTb));
-        w.u32(static_cast<uint32_t>(ws.sm));
-        w.i64(ws.step);
-        for (const Cycles d : ws.doneRing)
-            w.u64(d);
-    }
-    w.vec(freeWarps);
-    w.u64(sms.size());
-    for (const SmState &s : sms) {
-        w.u32(static_cast<uint32_t>(s.residentTbs));
-        w.u32(static_cast<uint32_t>(s.freeWarpSlots));
-    }
-    w.u64(warpSteps);
-    w.u64(sectorAccesses);
-    w.u64(totalStepLatency);
-    w.u64(maxStepLatency);
-    w.u64(endCycle);
-    w.u64(lateEvents);
-    hist.saveState(w);
-    pq.saveState(w);
-}
-
-void
-Lane::load(serial::Reader &r)
-{
-    const size_t nodes = cursor.size();
-    r.vec(cursor);
-    ladm_require(cursor.size() == nodes, "checkpoint node count mismatch");
-    hasHeld = r.u8() != 0;
-    held.time = r.u64();
-    held.warp = r.u32();
-    warps.resize(r.u64());
-    for (WarpState &ws : warps) {
-        ws.tb = r.i64();
-        ws.warpInTb = static_cast<int>(r.u32());
-        ws.sm = static_cast<SmId>(r.u32());
-        ws.step = r.i64();
-        for (Cycles &d : ws.doneRing)
-            d = r.u64();
-    }
-    r.vec(freeWarps);
-    ladm_require(r.u64() == sms.size(), "checkpoint SM count mismatch");
-    for (SmState &s : sms) {
-        s.residentTbs = static_cast<int>(r.u32());
-        s.freeWarpSlots = static_cast<int>(r.u32());
-    }
-    warpSteps = r.u64();
-    sectorAccesses = r.u64();
-    totalStepLatency = r.u64();
-    maxStepLatency = r.u64();
-    endCycle = r.u64();
-    lateEvents = r.u64();
-    hist.loadState(r);
-    pq.loadState(r);
 }
 
 } // namespace ladm

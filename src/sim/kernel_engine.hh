@@ -34,11 +34,6 @@ namespace obs
 {
 class Timeline;
 }
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 namespace snapshot
 {
 class Checkpointer;
@@ -110,6 +105,13 @@ class KernelEngine
      * under "engine" in the registry.
      */
     void registerStats(telemetry::StatRegistry &reg);
+
+    /**
+     * Checkpoint the cumulative counters (GpuSystem's kSystem section;
+     * the running kernel's loop state is the kEngine section). The
+     * wall-clock barrier waits are written and read but not hashed.
+     */
+    template <class Ar> void io(Ar &ar);
 
     /**
      * Arm the cycle-windowed timeline sampler (null = off). When armed
@@ -187,15 +189,15 @@ class KernelEngine
 
     /**
      * Checkpoint image of either loop at a safe point (kEngine section):
-     * loop kind, cumulative counters, the loop clock (serial: last event
-     * cycle; sharded: the advanced window end), TB countdown and every
-     * lane. loadLoop() restores it and returns the clock.
+     * loop kind, the loop clock (serial: last event cycle; sharded: the
+     * advanced window end), TB countdown and every lane.
      */
-    void saveLoop(serial::Writer &w, bool sharded, Cycles clock,
-                  const Launch &launch,
-                  const std::vector<Lane *> &lanes) const;
-    Cycles loadLoop(bool sharded, Launch &launch,
-                    const std::vector<Lane *> &lanes);
+    template <class Ar>
+    void loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
+                const std::vector<Lane *> &lanes);
+    /** Restore the armed checkpoint's loop image; returns its clock. */
+    Cycles resumeLoop(bool sharded, Launch &launch,
+                      const std::vector<Lane *> &lanes);
 
     const SystemConfig &cfg_;
     MemorySystem &mem_;

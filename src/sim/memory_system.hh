@@ -355,8 +355,7 @@ class MemorySystem
      * (snapshot/component_state.cc). Must be called at an engine safe
      * point (no access in flight).
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     /**
@@ -382,6 +381,8 @@ class MemorySystem
         uint64_t failedNodeAccesses = 0;
         std::array<uint64_t, kNumTrafficClasses> clsAcc{};
         std::array<uint64_t, kNumTrafficClasses> clsHit{};
+
+        template <class Ar> void io(Ar &ar);
     };
 
     template <typename T>

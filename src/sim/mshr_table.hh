@@ -46,12 +46,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
-
 class MshrTable
 {
   public:
@@ -167,8 +161,7 @@ class MshrTable
     }
 
     /** Checkpoint the slot array verbatim (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct Slot
@@ -198,11 +191,18 @@ class MshrTable
     reset(size_t capacity)
     {
         slots_.assign(capacity, Slot{});
+        indexFor(capacity);
+        size_ = 0;
+    }
+
+    /** Size the index hash for a power-of-two @p capacity. */
+    void
+    indexFor(size_t capacity)
+    {
         mask_ = capacity - 1;
         shift_ = 1;
         while ((size_t(1) << (64 - shift_)) > capacity)
             ++shift_;
-        size_ = 0;
     }
 
     /**

@@ -183,11 +183,11 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
     // next window must batch deferred ops exactly as the uninterrupted
     // run's would.
     auto save = [&](serial::Writer &w) {
-        saveLoop(w, true, window_end, launch, lane_ptrs);
+        loopIo(w, true, window_end, launch, lane_ptrs);
     };
 
     if (resume) {
-        window_end = loadLoop(true, launch, lane_ptrs);
+        window_end = resumeLoop(true, launch, lane_ptrs);
         // Mid-kernel checkpoints are only taken while events remain.
         run_windows = true;
     } else {

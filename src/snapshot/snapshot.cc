@@ -62,34 +62,6 @@ bool g_busyWarned = false;
 bool g_resumeConsumed = false;
 std::shared_ptr<serial::Reader> g_reader;
 
-/** FNV-1a over raw bytes. */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void
-    bytes(const void *p, size_t n)
-    {
-        const auto *b = static_cast<const uint8_t *>(p);
-        for (size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    }
-    template <typename T>
-    void
-    pod(const T &v)
-    {
-        bytes(&v, sizeof v);
-    }
-    void
-    str(const std::string &s)
-    {
-        pod(s.size());
-        bytes(s.data(), s.size());
-    }
-};
-
 } // namespace
 
 Interrupted::Interrupted(std::string path, Cycles cycle)
@@ -103,49 +75,24 @@ Interrupted::Interrupted(std::string path, Cycles cycle)
 uint64_t
 configFingerprint(const SystemConfig &c)
 {
-    Fnv f;
-    f.str(c.name);
-    f.pod(c.numGpus);
-    f.pod(c.chipletsPerGpu);
-    f.pod(c.smsPerChiplet);
-    f.pod(c.topology);
-    f.pod(c.clockGhz);
-    f.pod(c.warpSize);
-    f.pod(c.warpSlotsPerSm);
-    f.pod(c.maxResidentTbsPerSm);
-    f.pod(c.computeGapCycles);
-    f.pod(c.warpPipelineDepth);
-    f.pod(c.resolvedShards());
-    f.pod(c.l1SizePerSm);
-    f.pod(c.l1Assoc);
-    f.pod(c.l1LatencyCycles);
-    f.pod(c.l2SizePerChiplet);
-    f.pod(c.l2Assoc);
-    f.pod(c.l2BanksPerChiplet);
-    f.pod(c.l2LatencyCycles);
-    f.pod(c.remoteCachingL2);
-    f.pod(c.pageSize);
-    f.pod(c.memBwPerChipletGBs);
-    f.pod(c.dramLatencyCycles);
-    f.pod(c.dramChannelsPerChiplet);
-    f.pod(c.pageMigration);
-    f.pod(c.migrationThreshold);
-    f.pod(c.migrationLatencyCycles);
-    f.pod(c.flushL2BetweenKernels);
-    f.pod(c.hbmCapacityPerNode);
-    f.pod(c.hostLinkGBs);
-    f.pod(c.hostFaultCycles);
-    f.pod(c.intraChipletXbarGBs);
-    f.pod(c.interChipletRingGBs);
-    f.pod(c.interGpuLinkGBs);
-    f.pod(c.monolithicXbarGBs);
-    f.pod(c.ringHopLatencyCycles);
-    f.pod(c.switchLatencyCycles);
-    f.pod(c.pageFaultCycles);
-    f.pod(c.uvmFirstTouchInterleave);
-    f.str(c.faultSpec);
-    f.pod(c.faultDegradation);
-    return f.h;
+    const int shards = c.resolvedShards();
+    // Checkpoints and serve journals are keyed by this value, which has
+    // always started from this basis (FNV-1a's, one digit short).
+    serial::Hasher h(1469598103934665603ull);
+    h(c.name, c.numGpus, c.chipletsPerGpu, c.smsPerChiplet, c.topology,
+      c.clockGhz, c.warpSize, c.warpSlotsPerSm, c.maxResidentTbsPerSm,
+      c.computeGapCycles, c.warpPipelineDepth, shards, c.l1SizePerSm,
+      c.l1Assoc, c.l1LatencyCycles, c.l2SizePerChiplet, c.l2Assoc,
+      c.l2BanksPerChiplet, c.l2LatencyCycles, c.remoteCachingL2,
+      c.pageSize, c.memBwPerChipletGBs, c.dramLatencyCycles,
+      c.dramChannelsPerChiplet, c.pageMigration, c.migrationThreshold,
+      c.migrationLatencyCycles, c.flushL2BetweenKernels,
+      c.hbmCapacityPerNode, c.hostLinkGBs, c.hostFaultCycles,
+      c.intraChipletXbarGBs, c.interChipletRingGBs, c.interGpuLinkGBs,
+      c.monolithicXbarGBs, c.ringHopLatencyCycles, c.switchLatencyCycles,
+      c.pageFaultCycles, c.uvmFirstTouchInterleave, c.faultSpec,
+      c.faultDegradation);
+    return h.value();
 }
 
 Options &
@@ -327,15 +274,12 @@ Checkpointer::writeTo(const std::string &path, Cycles now,
                       const std::function<void(serial::Writer &)> &engine)
 {
     serial::Writer w;
-    w.beginSection(kMeta);
-    w.u32(seq_);
-    w.u64(now);
-    w.endSection();
+    w.section(kMeta);
+    w(seq_, now);
     if (ctx_)
         ctx_(w);
-    w.beginSection(kEngine);
+    w.section(kEngine);
     engine(w);
-    w.endSection();
     atomicWriteBytes(path, w.finish(fingerprint_));
 }
 
@@ -367,8 +311,9 @@ makeRunCheckpointer(const SystemConfig &cfg)
             g_reader = std::make_shared<serial::Reader>(
                 serial::Reader::fromFile(o.resume));
         }
-        g_reader->openSection(kMeta);
-        const uint32_t ck_seq = g_reader->u32();
+        g_reader->section(kMeta);
+        uint32_t ck_seq = 0;
+        (*g_reader)(ck_seq);
         if (ck_seq == seq) {
             if (g_reader->fingerprint() != fingerprint) {
                 throw SimError(

@@ -35,6 +35,9 @@ struct KernelRecord
     Cycles startCycle = 0;
     Cycles endCycle = 0;
     Snapshot stats;
+
+    /** Checkpoint support (snapshot/component_state.cc). */
+    template <class Ar> void io(Ar &ar);
 };
 
 /** Everything the stats sinks report about one experiment run. */

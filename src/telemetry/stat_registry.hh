@@ -33,6 +33,8 @@ struct Sample
 {
     double value = 0.0;
     StatKind kind = StatKind::Gauge;
+
+    template <class Ar> void io(Ar &ar);
 };
 
 /** A flat path -> value capture of the whole registry at one instant. */
@@ -54,8 +56,7 @@ class Snapshot
     bool empty() const { return values.empty(); }
 
     /** Checkpoint support (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 };
 
 class StatRegistry
@@ -124,8 +125,7 @@ class StatRegistry
      * Gauges/formulas are pull-based closures over live component state
      * and restore through their owners, not here.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct GaugeEntry
