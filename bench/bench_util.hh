@@ -23,8 +23,9 @@
  *                         the sinks and the sweep proceeds
  *                         (LADM_BENCH_CONTINUE)
  *   --resume-sweep[=path] journal completed cells (LADM_SWEEP_JOURNAL)
- *                         and, on re-run, replay them instead of
- *                         simulating; see core/sweep_journal.hh
+ *                         and replay any cell the journal holds, from
+ *                         this grid or another, instead of simulating
+ *                         it; see core/sweep_journal.hh
  *   --checkpoint-every N / --checkpoint-out P / --resume P
  *                         mid-run checkpointing of the active
  *                         experiment; see snapshot/snapshot.hh
@@ -73,11 +74,12 @@ continueOnError()
     return on;
 }
 
+/** LADM_BENCH_SCALE, 1.0 when unset; anything but a number > 0 throws. */
 inline double
 benchScale()
 {
     const char *s = std::getenv("LADM_BENCH_SCALE");
-    return s ? std::atof(s) : 1.0;
+    return s && *s ? core::parsePositive("LADM_BENCH_SCALE", s) : 1.0;
 }
 
 /** Run one (workload, policy, system) combination at the bench scale. */
@@ -113,9 +115,11 @@ parseJobsFlag(int &argc, char **argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            jobs = static_cast<int>(
+                core::parsePositive("--jobs", argv[++i], /*whole=*/true));
         } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = std::atoi(argv[i] + 7);
+            jobs = static_cast<int>(
+                core::parsePositive("--jobs", argv[i] + 7, /*whole=*/true));
         } else if (std::strcmp(argv[i], "--check") == 0) {
             check::setEnabled(true);
         } else if (std::strcmp(argv[i], "--continue-on-error") == 0) {
@@ -147,58 +151,29 @@ cell(std::string workload, Policy policy, SystemConfig cfg,
 }
 
 /**
- * Run a grid of cells across @p jobs workers (0 = env/hardware), with
- * results back in cell order so the caller's print/sink loops see the
- * serial sequence. The worker notice goes to stderr: stdout rows and
- * the sinks stay byte-identical at any worker count.
+ * Run a grid of cells across @p jobs workers (0 = env/hardware) through
+ * core::runSweep, with results back in cell order so the caller's
+ * print/sink loops see the serial sequence. The worker notice goes to
+ * stderr: stdout rows and the sinks stay byte-identical at any worker
+ * count. Under --continue-on-error a failed cell is reported on stderr
+ * and comes back as an error row.
  */
 inline std::vector<RunMetrics>
 runGrid(const std::vector<core::SweepCell> &cells, int jobs = 0)
 {
-    core::SweepRunner::Options opts;
-    opts.jobs = jobs;
-    core::SweepRunner runner(opts);
-    if (runner.jobs() > 1) {
+    jobs = core::SweepRunner::resolveJobs(jobs);
+    if (jobs > 1) {
         std::fprintf(stderr, "[bench] %zu runs across %d workers\n",
-                     cells.size(), runner.jobs());
+                     cells.size(), jobs);
     }
-    core::SweepJournal *jnl = core::sweepJournal();
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const core::SweepCell &c = cells[i];
-        const std::string key =
-            jnl ? core::cellKey(c, i) : std::string();
-        runner.submit([c, jnl, key] {
-            if (jnl) {
-                // --resume-sweep: completed cells replay their journaled
-                // metrics; cells in flight at the kill re-run.
-                if (const RunMetrics *m = jnl->completed(key))
-                    return *m;
-                jnl->noteStart(key);
-            }
-            auto w = workloads::makeWorkload(c.workload, c.scale);
-            auto bundle = makeBundle(c.policy);
-            RunMetrics m = runExperiment(*w, *bundle, c.cfg, c.launches);
-            if (jnl)
-                jnl->noteDone(key, m);
-            return m;
-        });
-    }
-    if (!continueOnError())
-        return runner.results();
-
-    std::vector<RunMetrics> out = runner.outcomes();
+    std::vector<RunMetrics> out =
+        core::runSweep(cells, jobs, continueOnError());
     for (size_t i = 0; i < out.size(); ++i) {
-        if (!out[i].failed())
-            continue;
-        // Identify the failed cell even though runExperiment never got
-        // to stamp the labels.
-        if (out[i].workload.empty())
-            out[i].workload = cells[i].workload;
-        if (out[i].system.empty())
-            out[i].system = cells[i].cfg.name;
-        std::fprintf(stderr, "[bench] cell %zu (%s on %s) failed: %s\n",
-                     i, out[i].workload.c_str(), out[i].system.c_str(),
-                     out[i].error.c_str());
+        if (out[i].failed()) {
+            std::fprintf(stderr, "[bench] cell %zu (%s on %s) failed: %s\n",
+                         i, out[i].workload.c_str(), out[i].system.c_str(),
+                         out[i].error.c_str());
+        }
     }
     return out;
 }

@@ -59,7 +59,7 @@ enum class ErrCode : uint32_t
     // 2xx: I/O (retry may help; the resource may be transient).
     IoError = 200,         ///< file/socket operation failed
     CorruptFrame = 201,    ///< wire frame failed magic/CRC validation
-    JournalCorrupt = 202,  ///< decision-journal record failed validation
+    JournalCorrupt = 202,  ///< a journal file is not a log of its kind
 
     // 3xx: reported by the remote side of a serve connection.
     RemoteError = 300,      ///< generic server-side failure

@@ -1,11 +1,12 @@
 #include "core/sweep_journal.hh"
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "snapshot/snapshot.hh"
 
 namespace ladm
 {
@@ -14,46 +15,6 @@ namespace core
 
 namespace
 {
-
-constexpr const char *kHeader = "ladm-sweep-journal-v1";
-
-std::string
-hexEncode(const std::string &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (const unsigned char c : bytes) {
-        out.push_back(digits[c >> 4]);
-        out.push_back(digits[c & 0xf]);
-    }
-    return out;
-}
-
-/** Hex -> bytes; false on odd length or a non-hex digit (torn line). */
-bool
-hexDecode(const std::string &hex, std::string &out)
-{
-    if (hex.size() % 2 != 0)
-        return false;
-    out.clear();
-    out.reserve(hex.size() / 2);
-    auto nibble = [](char c) -> int {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        return -1;
-    };
-    for (size_t i = 0; i < hex.size(); i += 2) {
-        const int hi = nibble(hex[i]);
-        const int lo = nibble(hex[i + 1]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out.push_back(static_cast<char>((hi << 4) | lo));
-    }
-    return true;
-}
 
 // The metrics blob reuses the checkpoint serializer inside one journal
 // section: binary doubles round-trip exactly, so a replayed row is
@@ -102,96 +63,39 @@ unpackMetrics(const std::string &blob, RunMetrics &m)
 
 } // namespace
 
-std::string
-cellKey(const SweepCell &cell, size_t index)
+uint64_t
+cellKey(const SweepCell &cell)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << cell.workload << '|' << static_cast<int>(cell.policy) << '|'
-       << cell.cfg.name << '|' << cell.launches << '|' << cell.scale
-       << '|' << index;
-    return os.str();
+    const uint64_t fingerprint = snapshot::configFingerprint(cell.cfg);
+    serial::Hasher h;
+    h(cell.workload, cell.policy, fingerprint, cell.launches, cell.scale);
+    return h.value();
 }
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
+SweepJournal::SweepJournal(const std::string &path)
 {
-    replay();
-}
-
-void
-SweepJournal::replay()
-{
-    std::ifstream in(path_);
-    if (!in)
-        return; // first run: created on the first append
-    std::string line;
-    size_t lineno = 0, skipped = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (lineno == 1) {
-            if (line != kHeader) {
-                ladm_warn("sweep journal '", path_,
-                          "' has an unknown header; ignoring its "
-                          "contents");
-                return;
-            }
-            continue;
+    size_t unreadable = 0;
+    log_.open(path, LogKind::Sweep, [&](std::string_view rec) {
+        uint64_t key = 0;
+        RunMetrics m;
+        if (rec.size() < sizeof key ||
+            !unpackMetrics(std::string(rec.substr(sizeof key)), m)) {
+            ++unreadable;
+            return;
         }
-        std::istringstream ls(line);
-        std::string verb, hexkey, hexblob;
-        ls >> verb >> hexkey;
-        std::string key;
-        if (!hexDecode(hexkey, key)) {
-            ++skipped;
-            continue;
-        }
-        if (verb == "start") {
-            inFlight_.insert(key);
-        } else if (verb == "done") {
-            ls >> hexblob;
-            std::string blob;
-            RunMetrics m;
-            if (hexDecode(hexblob, blob) && unpackMetrics(blob, m)) {
-                done_[key] = std::move(m);
-                inFlight_.erase(key);
-            } else {
-                ++skipped;
-            }
-        } else {
-            ++skipped;
-        }
-    }
-    if (skipped) {
-        ladm_warn("sweep journal '", path_, "': skipped ", skipped,
-                  " unparseable line(s) (torn by a kill?); those cells "
+        std::memcpy(&key, rec.data(), sizeof key);
+        done_.emplace(key, std::move(m));
+    });
+    replayed_ = done_.size();
+    if (unreadable) {
+        ladm_warn("sweep journal '", path, "': ", unreadable,
+                  " record(s) in an older metrics format; those cells "
                   "re-run");
     }
-    if (!done_.empty() || !inFlight_.empty()) {
-        ladm_inform("sweep journal '", path_, "': ", done_.size(),
-                    " completed cell(s) replayed, ", inFlight_.size(),
-                    " in-flight cell(s) re-queued");
-    }
-}
-
-void
-SweepJournal::append(const std::string &line)
-{
-    // Append-only with a per-line flush: a kill tears at most the final
-    // line, which replay() skips. (Atomic-rename is wrong here -- the
-    // journal must survive partial progress, not replace it.)
-    std::ofstream out(path_, std::ios::app);
-    if (!out) {
-        ladm_warn("sweep journal: cannot append to '", path_, "'");
-        return;
-    }
-    if (out.tellp() == std::ofstream::pos_type(0))
-        out << kHeader << '\n';
-    out << line << '\n';
-    out.flush();
 }
 
 const RunMetrics *
-SweepJournal::completed(const std::string &key) const
+SweepJournal::completed(uint64_t key) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = done_.find(key);
@@ -199,18 +103,14 @@ SweepJournal::completed(const std::string &key) const
 }
 
 void
-SweepJournal::noteStart(const std::string &key)
+SweepJournal::noteDone(uint64_t key, const RunMetrics &m)
 {
+    std::string rec(reinterpret_cast<const char *>(&key), sizeof key);
+    rec += packMetrics(m);
     std::lock_guard<std::mutex> lk(mu_);
-    append("start " + hexEncode(key));
-}
-
-void
-SweepJournal::noteDone(const std::string &key, const RunMetrics &m)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    append("done " + hexEncode(key) + " " + hexEncode(packMetrics(m)));
-    done_[key] = m;
+    // Values never change once stored: completed() hands out pointers.
+    if (done_.emplace(key, m).second)
+        log_.append(rec);
 }
 
 namespace

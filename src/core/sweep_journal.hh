@@ -1,27 +1,26 @@
 /**
  * @file
- * SweepJournal: append-only completion log for resumable sweeps.
+ * SweepJournal: completion log for resumable, cell-sharing sweeps.
  *
- * A figure harness replays a grid of independent cells; an interrupted
- * sweep today restarts from cell zero. The journal records, per cell,
- * a `start` line when a worker picks it up and a `done` line (carrying
- * the full RunMetrics, binary-serialized and hex-encoded) when it
- * completes. Re-running the same grid with --resume-sweep replays the
- * journal: completed cells return their recorded metrics without
- * simulating, cells with a `start` but no `done` (in flight when the
- * sweep died) re-queue, and new completions append to the same file.
+ * A figure harness runs a grid of independent cells; an interrupted
+ * sweep would otherwise restart from cell zero, and a second figure
+ * would simulate again the cells it shares with the first. The journal
+ * is a common/record_log.hh log of kind Sweep with one record per
+ * completed cell:
  *
- * The file is line-oriented and append-only:
+ *   u64 cellKey | RunMetrics blob
  *
- *   ladm-sweep-journal-v1
- *   start <hex(key)>
- *   done <hex(key)> <hex(metrics blob)>
+ * (the blob binary-serialized, so a replayed row is byte-identical to
+ * the freshly computed one in every sink). runSweep() returns a cell's
+ * recorded metrics instead of simulating it; a cell with no record --
+ * never run, or in flight when the sweep died -- simulates and appends.
  *
- * Appends are flushed per line; a kill can tear at most the final line,
- * which replay skips (that cell simply re-runs). Cell keys combine
- * workload, policy, system name, launches, scale, and grid index, so a
- * journal from a *different* grid never satisfies a lookup -- mismatched
- * cells just miss and run normally.
+ * A cell's key is its content: workload, policy, the config fingerprint
+ * (snapshot::configFingerprint), launches and scale -- never its grid
+ * position or just the preset's name. Any grid that holds the same cell
+ * replays it; a preset edited without a rename misses and re-runs. The
+ * log header carries kModelVersion, so a journal from another model
+ * replays nothing.
  *
  * Activation: --resume-sweep[=path] (stripped by bench::parseJobsFlag)
  * or LADM_SWEEP_JOURNAL=path. Default path "ladm.sweep.jnl".
@@ -30,12 +29,12 @@
 #ifndef LADM_CORE_SWEEP_JOURNAL_HH
 #define LADM_CORE_SWEEP_JOURNAL_HH
 
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 
+#include "common/record_log.hh"
 #include "core/metrics.hh"
 #include "core/sweep_runner.hh"
 
@@ -44,48 +43,38 @@ namespace ladm
 namespace core
 {
 
-/** Stable identity of one grid cell (includes its submission index). */
-std::string cellKey(const SweepCell &cell, size_t index);
+/** Content key of one grid cell (see the file comment). */
+uint64_t cellKey(const SweepCell &cell);
 
 class SweepJournal
 {
   public:
     /**
-     * Open (and replay) the journal at @p path; the file is created on
-     * the first append when absent. Corrupt or torn lines are skipped
-     * with a warning -- their cells re-run.
+     * Open (and replay) the journal at @p path, creating it when
+     * absent. A torn tail is truncated; its cells re-run.
+     *
+     * @throws SimError(Io) when @p path cannot be opened or is not a
+     *         sweep journal
      */
-    explicit SweepJournal(std::string path);
-
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
+    explicit SweepJournal(const std::string &path);
 
     /**
      * Metrics of a completed cell, or null when the cell must (re)run.
      * The pointer stays valid for the journal's lifetime.
      */
-    const RunMetrics *completed(const std::string &key) const;
+    const RunMetrics *completed(uint64_t key) const;
 
-    /** Record that a worker picked the cell up (flushed immediately). */
-    void noteStart(const std::string &key);
-    /** Record the cell's result (flushed immediately). */
-    void noteDone(const std::string &key, const RunMetrics &m);
+    /** Record the cell's result; the first result for a key wins. */
+    void noteDone(uint64_t key, const RunMetrics &m);
 
-    /** Cells the replayed journal saw start but never finish. */
-    size_t inFlightReplayed() const { return inFlight_.size(); }
-    /** Cells the replayed journal saw complete. */
-    size_t completedReplayed() const { return done_.size(); }
-
-    const std::string &path() const { return path_; }
+    /** Completed cells read back from the file at open. */
+    size_t completedReplayed() const { return replayed_; }
 
   private:
-    void replay();
-    void append(const std::string &line);
-
-    std::string path_;
+    RecordLog log_;
     mutable std::mutex mu_;
-    std::map<std::string, RunMetrics> done_;
-    std::set<std::string> inFlight_;
+    std::map<uint64_t, RunMetrics> done_;
+    size_t replayed_ = 0;
 };
 
 /**

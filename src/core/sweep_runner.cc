@@ -1,5 +1,9 @@
 #include "core/sweep_runner.hh"
 
+#include <atomic>
+#include <climits>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <thread>
@@ -27,8 +31,10 @@ SweepRunner::resolveJobs(int requested)
 {
     int jobs = requested;
     if (jobs <= 0) {
-        if (const char *s = std::getenv("LADM_BENCH_JOBS"))
-            jobs = std::atoi(s);
+        const char *s = std::getenv("LADM_BENCH_JOBS");
+        if (s && *s)
+            jobs = static_cast<int>(parsePositive("LADM_BENCH_JOBS", s,
+                                                  /*whole=*/true));
     }
     if (jobs <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
@@ -129,21 +135,21 @@ SweepRunner::outcomes()
 }
 
 std::vector<RunMetrics>
-runSweep(const std::vector<SweepCell> &cells, int jobs)
+runSweep(const std::vector<SweepCell> &cells, int jobs, bool keep_going)
 {
-    SweepRunner runner({jobs});
     SweepJournal *jnl = sweepJournal();
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell &cell = cells[i];
-        const std::string key = jnl ? cellKey(cell, i) : std::string();
-        runner.submit([cell, jnl, key] {
-            if (jnl) {
-                // Resumable sweep: a cell the journal saw complete
-                // returns its recorded metrics without simulating; one
-                // that only started (in flight at the kill) re-runs.
-                if (const RunMetrics *m = jnl->completed(key))
+    const bool replay =
+        jnl && !telemetry::session().options().anySink();
+    std::atomic<size_t> hits{0};
+    SweepRunner runner({jobs});
+    for (const SweepCell &cell : cells) {
+        const uint64_t key = jnl ? cellKey(cell) : 0;
+        runner.submit([&cell, &hits, jnl, replay, key] {
+            if (replay) {
+                if (const RunMetrics *m = jnl->completed(key)) {
+                    ++hits;
                     return *m;
-                jnl->noteStart(key);
+                }
             }
             auto w = workloads::makeWorkload(cell.workload, cell.scale);
             auto bundle = makeBundle(cell.policy);
@@ -154,7 +160,41 @@ runSweep(const std::vector<SweepCell> &cells, int jobs)
             return m;
         });
     }
-    return runner.results();
+    std::vector<RunMetrics> out =
+        keep_going ? runner.outcomes() : runner.results();
+    if (jnl) {
+        std::fprintf(stderr, "sweep journal: %zu of %zu cell(s) replayed\n",
+                     hits.load(), cells.size());
+    }
+    for (size_t i = 0; i < out.size(); ++i) {
+        // A failed cell's runExperiment never got to stamp the labels.
+        if (out[i].failed()) {
+            out[i].workload = cells[i].workload;
+            out[i].system = cells[i].cfg.name;
+        }
+    }
+    return out;
+}
+
+double
+parsePositive(const std::string &source, const std::string &text,
+              bool whole)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    const bool ok = !text.empty() && *end == '\0' && std::isfinite(v) &&
+                    v > 0.0 &&
+                    (!whole || (v == std::floor(v) && v <= INT_MAX));
+    if (!ok) {
+        const char *want =
+            whole ? "must be a whole number > 0" : "must be a number > 0";
+        throw SimError(SimError::Kind::Config,
+                       source + " " + want + ", got '" + text + "'",
+                       {{source, text, want,
+                         "give a positive value, or drop it",
+                         ErrCode::BadConfig}});
+    }
+    return v;
 }
 
 } // namespace core

@@ -103,7 +103,8 @@ class SweepRunner
 
     /**
      * Apply the knob hierarchy: explicit @p requested if > 0, else
-     * LADM_BENCH_JOBS, else std::thread::hardware_concurrency().
+     * LADM_BENCH_JOBS, else std::thread::hardware_concurrency(). A
+     * LADM_BENCH_JOBS that is not a whole number > 0 raises SimError.
      * Tracing (an armed telemetry session or LADM_TRACE_OUT) forces the
      * result to 1 with a logged notice, keeping the global trace
      * emitter single-writer.
@@ -119,12 +120,30 @@ class SweepRunner
 };
 
 /**
- * Convenience wrapper for name-addressed grids: run every @p cells
- * entry (constructing workload and bundle inside the job) across
- * @p jobs workers and return metrics in cell order.
+ * Run every @p cells entry (constructing workload and bundle inside the
+ * job) across @p jobs workers and return metrics in cell order.
+ *
+ * With a sweep journal armed (core/sweep_journal.hh), a cell the journal
+ * holds returns its recorded metrics without simulating, and every
+ * simulated cell is journaled. A journal hit would skip the records the
+ * telemetry sinks get from a run, so while any sink is armed every cell
+ * simulates (and still journals). The grid ends with one stderr line,
+ * "sweep journal: H of N cell(s) replayed".
+ *
+ * @param keep_going like SweepRunner::outcomes(): a failed cell becomes
+ *        a row carrying its error, labelled with the cell's workload and
+ *        system, instead of rethrowing (--continue-on-error)
  */
 std::vector<RunMetrics> runSweep(const std::vector<SweepCell> &cells,
-                                 int jobs = 0);
+                                 int jobs = 0, bool keep_going = false);
+
+/**
+ * @p text as a finite number > 0, and a whole one when @p whole; any
+ * other text raises SimError(Config) naming @p source, the flag or
+ * environment variable it came from.
+ */
+double parsePositive(const std::string &source, const std::string &text,
+                     bool whole = false);
 
 } // namespace core
 } // namespace ladm

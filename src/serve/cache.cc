@@ -1,14 +1,6 @@
 #include "serve/cache.hh"
 
-#include <cerrno>
 #include <cstring>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "common/logging.hh"
-#include "common/serial.hh" // crc32
 
 namespace ladm
 {
@@ -58,164 +50,27 @@ DecisionCache::size() const
 
 // --- DecisionJournal --------------------------------------------------------
 
-namespace
-{
-
-constexpr char kJournalMagic[8] = {'L', 'D', 'S', 'J',
-                                   'R', 'N', 'L', '1'};
-
-struct RecordHeader
-{
-    uint64_t irHash;
-    uint64_t fingerprint;
-    uint32_t length;
-    uint32_t crc;
-} __attribute__((packed));
-
-static_assert(sizeof(RecordHeader) == 24, "journal record layout");
-
-[[noreturn]] void
-ioError(const std::string &path, const std::string &what,
-        ErrCode code = ErrCode::IoError)
-{
-    throw SimError(SimError::Kind::Io, "decision journal: " + what,
-                   {{"serve.journal", path, what,
-                     "check the path and its filesystem", code}});
-}
-
-} // namespace
-
-DecisionJournal::~DecisionJournal()
-{
-    close();
-}
-
 size_t
 DecisionJournal::open(
     const std::string &path,
     const std::function<void(const DecisionKey &, const std::string &)>
         &sink)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (fd_ >= 0)
-        ioError(path, "already open");
-
-    int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd < 0)
-        ioError(path, std::string("open failed: ") + std::strerror(errno));
-
-    // Read whatever survived the last run (possibly nothing).
-    size_t replayed = 0;
-    off_t good_end = 0;
-    char magic[sizeof kJournalMagic];
-    const ssize_t got = ::read(fd, magic, sizeof magic);
-    if (got == 0) {
-        // Fresh file: stamp the header.
-        if (::write(fd, kJournalMagic, sizeof kJournalMagic) !=
-            static_cast<ssize_t>(sizeof kJournalMagic)) {
-            ::close(fd);
-            ioError(path, std::string("header write failed: ") +
-                              std::strerror(errno));
-        }
-        good_end = sizeof kJournalMagic;
-    } else if (got != static_cast<ssize_t>(sizeof kJournalMagic) ||
-               std::memcmp(magic, kJournalMagic, sizeof magic) != 0) {
-        ::close(fd);
-        ioError(path, "not a decision journal (bad magic)",
-                ErrCode::JournalCorrupt);
-    } else {
-        good_end = sizeof kJournalMagic;
-        for (;;) {
-            RecordHeader h;
-            const ssize_t n = ::read(fd, &h, sizeof h);
-            if (n == 0)
-                break; // clean end
-            if (n != static_cast<ssize_t>(sizeof h))
-                break; // torn header: kill -9 mid-append
-            if (h.length > kMaxFrameBytes)
-                break; // implausible: corruption
-            std::string payload(h.length, '\0');
-            if (h.length > 0 &&
-                ::read(fd, payload.data(), h.length) !=
-                    static_cast<ssize_t>(h.length))
-                break; // torn payload
-            if (serial::crc32(payload.data(), payload.size()) != h.crc)
-                break; // bit rot / torn write
-            DecisionKey key{h.irHash, h.fingerprint};
-            if (sink)
-                sink(key, payload);
-            ++replayed;
-            good_end += static_cast<off_t>(sizeof h) + h.length;
-        }
-        // Drop the torn tail (if any) so appends extend a valid stream.
-        struct stat st;
-        if (::fstat(fd, &st) == 0 && st.st_size != good_end) {
-            ladm_warn("decision journal ", path, ": dropping ",
-                      static_cast<long long>(st.st_size - good_end),
-                      " torn byte(s) after ", replayed,
-                      " valid record(s)");
-            if (::ftruncate(fd, good_end) != 0) {
-                ::close(fd);
-                ioError(path, std::string("truncate failed: ") +
-                                  std::strerror(errno));
-            }
-        }
-    }
-
-    if (::lseek(fd, 0, SEEK_END) < 0) {
-        ::close(fd);
-        ioError(path,
-                std::string("seek failed: ") + std::strerror(errno));
-    }
-    fd_ = fd;
-    path_ = path;
-    return replayed;
+    return log_.open(path, LogKind::Decision, [&](std::string_view rec) {
+        DecisionKey key;
+        if (!sink || rec.size() < sizeof key)
+            return;
+        std::memcpy(&key, rec.data(), sizeof key);
+        sink(key, std::string(rec.substr(sizeof key)));
+    });
 }
 
 void
 DecisionJournal::append(const DecisionKey &key, const std::string &encoded)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (fd_ < 0)
-        return;
-    RecordHeader h;
-    h.irHash = key.irHash;
-    h.fingerprint = key.fingerprint;
-    h.length = static_cast<uint32_t>(encoded.size());
-    h.crc = serial::crc32(encoded.data(), encoded.size());
-    std::string rec(reinterpret_cast<const char *>(&h), sizeof h);
+    std::string rec(reinterpret_cast<const char *>(&key), sizeof key);
     rec += encoded;
-    // One write(2) per record: a crash can tear at most the final
-    // record, which replay detects and truncates.
-    if (::write(fd_, rec.data(), rec.size()) !=
-        static_cast<ssize_t>(rec.size())) {
-        ladm_warn("decision journal ", path_, ": append failed (",
-                  std::strerror(errno),
-                  "); journaling disabled for this run");
-        ::close(fd_);
-        fd_ = -1;
-        return;
-    }
-    ++appended_;
-}
-
-void
-DecisionJournal::sync()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (fd_ >= 0)
-        ::fdatasync(fd_);
-}
-
-void
-DecisionJournal::close()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (fd_ >= 0) {
-        ::fdatasync(fd_);
-        ::close(fd_);
-        fd_ = -1;
-    }
+    log_.append(rec);
 }
 
 } // namespace serve

@@ -10,19 +10,16 @@
  * cache stores is exactly what the journal stores is exactly what goes
  * on the wire, so bit-identity is checkable end to end.
  *
- * Journal: an 8-byte magic header followed by self-validating records
+ * Journal: a common/record_log.hh log of kind Decision, one record per
+ * committed decision:
  *
- *   u64 irHash | u64 fingerprint | u32 length | u32 CRC32(payload) |
- *   payload
+ *   u64 irHash | u64 fingerprint | encoded decision
  *
- * appended with a single write(2) each (one record never straddles two
- * writes, so a kill -9 can only tear the *last* record). replay() stops
- * at the first invalid record, truncates the file back to the last
- * valid byte, and reports how many decisions it restored: a committed
- * decision -- one whose append returned -- is never lost, matching the
- * atomic_file/serial conventions used by checkpoints. Degraded
- * (heuristic) answers are never journaled; every record replays
- * bit-identical to a cold recompute of its key.
+ * The log supplies the crash safety (one write(2) per record, a torn
+ * tail truncated on replay, a committed decision never lost) and the
+ * model-version check (a journal from another model replays nothing).
+ * Degraded (heuristic) answers are never journaled; every record
+ * replays bit-identical to a cold recompute of its key.
  */
 
 #ifndef LADM_SERVE_CACHE_HH
@@ -34,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/record_log.hh"
 #include "serve/decision.hh"
 
 namespace ladm
@@ -78,12 +76,6 @@ class DecisionCache
 class DecisionJournal
 {
   public:
-    DecisionJournal() = default;
-    ~DecisionJournal();
-
-    DecisionJournal(const DecisionJournal &) = delete;
-    DecisionJournal &operator=(const DecisionJournal &) = delete;
-
     /**
      * Open @p path for appending, creating it (with header) if absent.
      * An existing journal is replayed through @p sink first -- one call
@@ -108,20 +100,13 @@ class DecisionJournal
     void append(const DecisionKey &key, const std::string &encoded);
 
     /** fdatasync the tail (graceful-shutdown path). */
-    void sync();
+    void sync() { log_.sync(); }
 
-    void close();
-    bool isOpen() const { return fd_ >= 0; }
-    const std::string &path() const { return path_; }
-
-    /** Records appended by *this process* (not replayed ones). */
-    uint64_t appended() const { return appended_; }
+    void close() { log_.close(); }
+    bool isOpen() const { return log_.isOpen(); }
 
   private:
-    std::string path_;
-    int fd_ = -1;
-    uint64_t appended_ = 0;
-    std::mutex mu_;
+    RecordLog log_;
 };
 
 } // namespace serve

@@ -745,7 +745,6 @@ TEST_F(SnapshotTest, SweepJournalReplaysCompletedCells)
 
     core::SweepJournal replay(jnl);
     EXPECT_EQ(replay.completedReplayed(), 2u);
-    EXPECT_EQ(replay.inFlightReplayed(), 0u);
     core::setSweepJournalPath("");
 }
 
@@ -754,29 +753,38 @@ TEST_F(SnapshotTest, SweepJournalRequeuesInFlightAndTornLines)
     const std::string jnl = tmpPath("sweep_torn.jnl");
     std::remove(jnl.c_str());
 
-    core::SweepCell c;
-    c.workload = "VecAdd";
-    c.policy = Policy::Ladm;
-    c.cfg = presets::multiGpu4x4();
-    c.scale = 0.1;
+    core::SweepCell done;
+    done.workload = "VecAdd";
+    done.policy = Policy::Ladm;
+    done.cfg = presets::multiGpu4x4();
+    done.scale = 0.1;
+    core::SweepCell in_flight = done;
+    in_flight.policy = Policy::Coda;
 
-    // A journal from a killed sweep: cell 0 completed, cell 1 started
-    // but never finished, and the kill tore the final line.
+    // A journal from a killed sweep: one cell completed, the other was
+    // still running (it left no record), and the kill tore the final
+    // record (a length and half a CRC, no payload).
     {
         core::SweepJournal j(jnl);
-        j.noteDone(core::cellKey(c, 0), RunMetrics{});
-        j.noteStart(core::cellKey(c, 1));
+        j.noteDone(core::cellKey(done), RunMetrics{});
     }
     {
-        std::ofstream out(jnl, std::ios::app);
-        out << "done 0abc"; // torn: odd hex, no newline
+        std::ofstream out(jnl, std::ios::app | std::ios::binary);
+        out.write("\x40\x00\x00\x00\x12\x34", 6);
     }
 
-    core::SweepJournal replay(jnl);
-    EXPECT_EQ(replay.completedReplayed(), 1u);
-    EXPECT_EQ(replay.inFlightReplayed(), 1u);
-    EXPECT_NE(replay.completed(core::cellKey(c, 0)), nullptr);
-    EXPECT_EQ(replay.completed(core::cellKey(c, 1)), nullptr);
+    {
+        core::SweepJournal replay(jnl);
+        EXPECT_EQ(replay.completedReplayed(), 1u);
+        EXPECT_NE(replay.completed(core::cellKey(done)), nullptr);
+        EXPECT_EQ(replay.completed(core::cellKey(in_flight)), nullptr);
+        // The torn tail is gone: the re-run cell's record extends a
+        // valid stream.
+        replay.noteDone(core::cellKey(in_flight), RunMetrics{});
+    }
+    core::SweepJournal again(jnl);
+    EXPECT_EQ(again.completedReplayed(), 2u);
+    EXPECT_NE(again.completed(core::cellKey(in_flight)), nullptr);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/sim_error.hh"
 #include "config/presets.hh"
 #include "core/sweep_runner.hh"
 #include "telemetry/session.hh"
@@ -144,6 +145,39 @@ TEST(SweepRunner, ExplicitJobsBeatsEnvironment)
     setenv("LADM_BENCH_JOBS", "7", 1);
     EXPECT_EQ(core::SweepRunner::resolveJobs(3), 3);
     EXPECT_EQ(core::SweepRunner::resolveJobs(0), 7);
+    unsetenv("LADM_BENCH_JOBS");
+}
+
+TEST(SweepRunner, BadNumbersAreConfigErrorsNamingTheirSource)
+{
+    EXPECT_EQ(core::parsePositive("--jobs", "4", /*whole=*/true), 4.0);
+    EXPECT_EQ(core::parsePositive("LADM_BENCH_SCALE", "0.25"), 0.25);
+    for (const char *bad : {"abc", "", "0", "-1", "2x", "inf", "nan"}) {
+        SCOPED_TRACE(bad);
+        try {
+            core::parsePositive("LADM_BENCH_SCALE", bad);
+            ADD_FAILURE() << "expected SimError";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Config);
+            EXPECT_NE(std::string(e.what()).find("LADM_BENCH_SCALE"),
+                      std::string::npos);
+        }
+    }
+    EXPECT_THROW(core::parsePositive("--jobs", "2.5", /*whole=*/true),
+                 SimError);
+    EXPECT_THROW(core::parsePositive("--jobs", "1e12", /*whole=*/true),
+                 SimError);
+
+    setenv("LADM_BENCH_JOBS", "x", 1);
+    try {
+        core::SweepRunner::resolveJobs(0);
+        ADD_FAILURE() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Config);
+        EXPECT_NE(std::string(e.what()).find("LADM_BENCH_JOBS"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(core::SweepRunner::resolveJobs(3), 3); // flag wins
     unsetenv("LADM_BENCH_JOBS");
 }
 
