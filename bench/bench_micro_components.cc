@@ -4,19 +4,31 @@
  * the symbolic algebra, the sectored cache (L1-hit and L2-miss paths at
  * the multi-gpu-4x4 geometry), the MSHR table, the page table, the
  * bandwidth servers, the serial MemorySystem::access pipeline (L2-hit
- * and remote-miss paths), and trace generation. These gate the
- * wall-clock cost of the figure harnesses, not any paper result.
+ * and remote-miss paths), the event queue, the fabric's route booking,
+ * trace generation, and the placement advisor's byte layer (CRC32 and
+ * one request/reply frame round trip). These gate the wall-clock cost
+ * of the figure harnesses and of a cached placement reply, not any
+ * paper result.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "cache/cache.hh"
 #include "common/bandwidth_server.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "config/presets.hh"
+#include "interconnect/network.hh"
 #include "kernel/expr.hh"
 #include "mem/page_table.hh"
 #include "mem/placement.hh"
+#include "serve/cache.hh"
+#include "serve/decision.hh"
+#include "serve/wire.hh"
+#include "sim/event_queue.hh"
 #include "sim/memory_system.hh"
 #include "sim/mshr_table.hh"
 #include "workloads/access_gen.hh"
@@ -237,6 +249,114 @@ BM_AffineWarpStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AffineWarpStep);
+
+void
+BM_EventQueue(benchmark::State &state)
+{
+    // The serial engine's heap at 16K live warps: each step pops the
+    // earliest warp and re-files it one compute gap to one memory round
+    // trip later, so the live set stays constant.
+    constexpr uint32_t kWarps = 16 * 1024;
+    EventQueue q(EventQueue::Mode::Heap);
+    Rng rng(7);
+    for (uint32_t w = 0; w < kWarps; ++w)
+        q.push(rng.nextBounded(1000), w);
+    std::vector<Cycles> delays(4096);
+    for (Cycles &d : delays)
+        d = 4 + rng.nextBounded(600);
+    size_t i = 0;
+    for (auto _ : state) {
+        const WarpEvent ev = q.pop();
+        q.push(ev.time + delays[i++ & 4095], ev.warp);
+    }
+    benchmark::DoNotOptimize(q.size());
+}
+BENCHMARK(BM_EventQueue);
+
+void
+BM_NetworkRouteDelay(benchmark::State &state)
+{
+    // multi-gpu-4x4: 16 chiplets, cycling through all 240 ordered
+    // remote (src, dst) pairs, one sector each, 8 cycles apart.
+    const SystemConfig cfg = presets::multiGpu4x4();
+    const std::unique_ptr<Network> net = makeNetwork(cfg);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId s = 0; s < cfg.numNodes(); ++s)
+        for (NodeId d = 0; d < cfg.numNodes(); ++d)
+            if (s != d)
+                pairs.emplace_back(s, d);
+    Cycles now = 0;
+    size_t i = 0;
+    for (auto _ : state) {
+        const auto [src, dst] = pairs[i];
+        benchmark::DoNotOptimize(net->routeDelay(now, src, dst, kSectorSize));
+        if (++i == pairs.size())
+            i = 0;
+        now += 8;
+    }
+    state.counters["pairs"] = static_cast<double>(pairs.size());
+}
+BENCHMARK(BM_NetworkRouteDelay);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+    Rng rng(8);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(serial::crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(512)->Arg(64 * 1024);
+
+void
+BM_FrameRoundTrip(benchmark::State &state)
+{
+    // One Place frame out and the cached Decision frame back over a
+    // socket pair, each read through a FrameReader: the wire cost of a
+    // cache hit without the server's threads.
+    using namespace serve;
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+        state.SkipWithError("socketpair failed");
+        return;
+    }
+    PlacementRequest req;
+    req.kernelSource = "kernel vecadd(A, B, C) {\n"
+                       "    let i = blockIdx.x * blockDim.x + threadIdx.x;\n"
+                       "    read A[i] : f32;\n    read B[i] : f32;\n"
+                       "    write C[i] : f32;\n}";
+    req.dims.grid = {64, 1};
+    req.dims.block = {256, 1};
+    req.argBytes = {4u << 20, 4u << 20, 4u << 20};
+    ByteWriter w;
+    req.encode(w);
+    const std::string request = w.take();
+    PlacementDecision d;
+    d.scheduler = "kernel-wide";
+    d.args = {{1, "A: chunked"}, {1, "B: chunked"}, {1, "C: chunked"}};
+    DecisionCache cache(1);
+    cache.put(d.key, d.encode());
+    const std::string &reply = *cache.find(d.key);
+
+    FrameReader client(sv[0]), server(sv[1]);
+    Frame f;
+    for (auto _ : state) {
+        sendFrame(sv[0], MsgType::Place, request);
+        if (server.read(f) != RecvStatus::Ok)
+            state.SkipWithError("request lost");
+        sendBytes(sv[1], reply);
+        if (client.read(f, 1000) != RecvStatus::Ok)
+            state.SkipWithError("reply lost");
+        benchmark::DoNotOptimize(f.payload.data());
+    }
+    ::close(sv[0]);
+    ::close(sv[1]);
+}
+BENCHMARK(BM_FrameRoundTrip);
 
 } // namespace
 } // namespace ladm

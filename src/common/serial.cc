@@ -1,6 +1,7 @@
 #include "common/serial.hh"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -18,29 +19,54 @@ namespace
 
 constexpr char kMagic[8] = {'L', 'A', 'D', 'M', 'S', 'N', 'A', 'P'};
 
-std::array<uint32_t, 256>
-makeCrcTable()
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables: kCrc[0] is the classic bytewise table, and
+ * kCrc[k][i] is the CRC of byte i followed by k zero bytes, so one
+ * lookup per byte of an 8-byte word folds the whole word at once.
+ */
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> t{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        t[i] = c;
+        t[0][i] = c;
     }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     return t;
 }
+
+constexpr CrcTables kCrc = makeCrcTables();
+
+static_assert(kCrc[0][1] == 0x77073096u, "CRC-32 table");
 
 } // namespace
 
 uint32_t
 crc32(const void *data, size_t n)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
     uint32_t c = 0xFFFFFFFFu;
     const auto *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; n >= 8; p += 8, n -= 8) {
+            uint32_t lo, hi;
+            std::memcpy(&lo, p, 4);
+            std::memcpy(&hi, p + 4, 4);
+            lo ^= c;
+            c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+                kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+                kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+                kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+        }
+    }
+    for (; n > 0; ++p, --n)
+        c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

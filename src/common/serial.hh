@@ -50,7 +50,10 @@ namespace ladm
 namespace serial
 {
 
-/** CRC-32 (IEEE 802.3 polynomial, as in zip/png). */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, as in zip/png), slicing-by-8: every
+ * frame, record-log record and checkpoint section is checked with it.
+ */
 uint32_t crc32(const void *data, size_t n);
 
 /** Current checkpoint format version; bump on any layout change. */

@@ -20,21 +20,23 @@ DecisionCache::shardFor(const DecisionKey &key) const
     return shards_[DecisionKeyHash{}(key) % shards_.size()];
 }
 
-std::string
-DecisionCache::get(const DecisionKey &key) const
+const std::string *
+DecisionCache::find(const DecisionKey &key) const
 {
     Shard &s = shardFor(key);
     std::lock_guard<std::mutex> lk(s.mu);
     const auto it = s.map.find(key);
-    return it == s.map.end() ? std::string() : it->second;
+    return it == s.map.end() ? nullptr : &it->second;
 }
 
 bool
-DecisionCache::put(const DecisionKey &key, const std::string &encoded)
+DecisionCache::put(const DecisionKey &key, std::string_view encoded)
 {
+    std::string frame = encodeFrame(
+        MsgType::Decision, decisionReply(encoded, false, true));
     Shard &s = shardFor(key);
     std::lock_guard<std::mutex> lk(s.mu);
-    return s.map.emplace(key, encoded).second;
+    return s.map.emplace(key, std::move(frame)).second;
 }
 
 size_t

@@ -5,10 +5,12 @@
  *
  * Cache: N independent shards (mutex + open hash map) selected by the
  * key hash, so concurrent lookups from the connection threads and
- * inserts from the worker pool contend only 1/N of the time. Values are
- * the decision's canonical *encoded bytes* (decision.hh): what the
- * cache stores is exactly what the journal stores is exactly what goes
- * on the wire, so bit-identity is checkable end to end.
+ * inserts from the worker pool contend only 1/N of the time. Each entry
+ * is the complete Decision reply frame for its key (wire.hh header and
+ * CRC, flags degraded=0 cached=1, then the decision's canonical
+ * *encoded bytes* from decision.hh), built once by put(). A cache hit
+ * sends those bytes unchanged: what the journal stores is exactly what
+ * travels inside the frame, so bit-identity is checkable end to end.
  *
  * Journal: a common/record_log.hh log of kind Decision, one record per
  * committed decision:
@@ -28,6 +30,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,15 +50,20 @@ class DecisionCache
     DecisionCache(const DecisionCache &) = delete;
     DecisionCache &operator=(const DecisionCache &) = delete;
 
-    /** Encoded decision for @p key; empty string = miss. */
-    std::string get(const DecisionKey &key) const;
+    /**
+     * The prebuilt Decision reply frame for @p key, or null on a miss.
+     * Entries are never replaced or erased, so the frame stays valid,
+     * unchanged, for the cache's lifetime.
+     */
+    const std::string *find(const DecisionKey &key) const;
 
     /**
-     * Insert @p encoded under @p key. Returns false when the key was
-     * already present (the stored bytes win; idempotent replays and
-     * single-flight races both land here).
+     * Insert the reply frame for decision bytes @p encoded under
+     * @p key. Returns false when the key was already present (the
+     * stored frame wins; idempotent replays and single-flight races
+     * both land here).
      */
-    bool put(const DecisionKey &key, const std::string &encoded);
+    bool put(const DecisionKey &key, std::string_view encoded);
 
     size_t size() const;
     int numShards() const { return static_cast<int>(shards_.size()); }

@@ -54,6 +54,7 @@ Client::connect()
         lastError_ = err;
         return false;
     }
+    reader_.reset(fd_);
     return true;
 }
 
@@ -102,9 +103,8 @@ Client::place(const PlacementRequest &req)
     const int timeout_ms =
         deadline_us ? static_cast<int>(deadline_us / 1000 + 1000) : 30000;
 
-    MsgType type;
-    std::string payload;
-    switch (recvFrame(fd_, type, payload, timeout_ms)) {
+    Frame reply;
+    switch (reader_.read(reply, timeout_ms)) {
     case RecvStatus::Ok:
         break;
     case RecvStatus::Timeout:
@@ -121,16 +121,16 @@ Client::place(const PlacementRequest &req)
     }
 
     try {
-        if (type == MsgType::Decision) {
-            ByteReader r(payload);
+        if (reply.type == MsgType::Decision) {
+            ByteReader r(reply.payload);
             ServeResult res;
             res.degraded = r.u8() != 0;
             res.cached = r.u8() != 0;
-            res.decision = PlacementDecision::decode(r.str());
+            res.decision = PlacementDecision::decode(r.view());
             return res;
         }
-        if (type == MsgType::Error) {
-            ByteReader r(payload);
+        if (reply.type == MsgType::Error) {
+            ByteReader r(reply.payload);
             ServeResult res;
             res.code = errCodeFromWire(r.u32());
             res.error = r.str();
@@ -194,14 +194,13 @@ Client::stats(std::vector<std::pair<std::string, double>> *out)
         return false;
     if (!sendFrame(fd_, MsgType::Stats, std::string()))
         return false;
-    MsgType type;
-    std::string payload;
-    if (recvFrame(fd_, type, payload, 10000) != RecvStatus::Ok ||
-        type != MsgType::StatsReply)
+    Frame reply;
+    if (reader_.read(reply, 10000) != RecvStatus::Ok ||
+        reply.type != MsgType::StatsReply)
         return false;
     try {
-        ByteReader r(payload);
-        const uint32_t n = r.u32();
+        ByteReader r(reply.payload);
+        const uint32_t n = r.count(sizeof(uint32_t) + sizeof(double));
         if (out) {
             out->clear();
             out->reserve(n);
@@ -225,10 +224,9 @@ Client::ping()
         return false;
     if (!sendFrame(fd_, MsgType::Ping, std::string()))
         return false;
-    MsgType type;
-    std::string payload;
-    return recvFrame(fd_, type, payload, 10000) == RecvStatus::Ok &&
-           type == MsgType::Pong;
+    Frame reply;
+    return reader_.read(reply, 10000) == RecvStatus::Ok &&
+           reply.type == MsgType::Pong;
 }
 
 } // namespace serve

@@ -6,7 +6,9 @@
  * Deadline propagation: the request's deadlineUs rides inside the Place
  * frame (the server enforces it) AND bounds the client's own socket
  * read, so a dead server surfaces as a timeout at the same horizon the
- * caller asked for, not a hang.
+ * caller asked for, not a hang. The read timeout is one absolute
+ * deadline per reply frame, so a peer that trickles bytes cannot
+ * stretch it.
  *
  * Backoff: seeded exponential backoff with multiplicative jitter on
  * common/rng -- the schedule is a pure function of (policy, seed), so
@@ -29,6 +31,7 @@
 #include "common/rng.hh"
 #include "common/sim_error.hh"
 #include "serve/decision.hh"
+#include "serve/wire.hh"
 
 namespace ladm
 {
@@ -124,6 +127,7 @@ class Client
 
     std::string address_;
     int fd_ = -1;
+    FrameReader reader_;
     Rng rng_;
     std::string lastError_;
     std::function<void(uint32_t)> sleep_;

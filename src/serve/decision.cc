@@ -55,7 +55,7 @@ PlacementRequest::decode(ByteReader &r)
     req.dims.block.x = r.i64();
     req.dims.block.y = r.i64();
     req.dims.loopTrips = r.i64();
-    const uint32_t n = r.u32();
+    const uint32_t n = r.count(sizeof(uint64_t));
     req.argBytes.reserve(n);
     for (uint32_t i = 0; i < n; ++i)
         req.argBytes.push_back(r.u64());
@@ -81,7 +81,7 @@ PlacementDecision::encode() const
 }
 
 PlacementDecision
-PlacementDecision::decode(const std::string &bytes)
+PlacementDecision::decode(std::string_view bytes)
 {
     ByteReader r(bytes);
     PlacementDecision d;
@@ -90,7 +90,7 @@ PlacementDecision::decode(const std::string &bytes)
     d.scheduler = r.str();
     d.policy = r.u8();
     d.schedulerReason = r.str();
-    const uint32_t n = r.u32();
+    const uint32_t n = r.count(1 + sizeof(uint32_t)); // row + note length
     d.args.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
         ArgDecision a;
@@ -99,6 +99,16 @@ PlacementDecision::decode(const std::string &bytes)
         d.args.push_back(std::move(a));
     }
     return d;
+}
+
+std::string
+decisionReply(std::string_view encoded, bool degraded, bool cached)
+{
+    ByteWriter w;
+    w.u8(degraded ? 1 : 0);
+    w.u8(cached ? 1 : 0);
+    w.str(encoded);
+    return w.take();
 }
 
 uint64_t

@@ -108,8 +108,16 @@ struct PlacementDecision
 
     /** Canonical byte encoding; the cache/journal/bit-identity unit. */
     std::string encode() const;
-    static PlacementDecision decode(const std::string &bytes);
+    static PlacementDecision decode(std::string_view bytes);
 };
+
+/**
+ * Payload of a Decision frame:
+ *
+ *   u8 degraded | u8 cached | u32 length | encoded decision
+ */
+std::string decisionReply(std::string_view encoded, bool degraded,
+                          bool cached);
 
 /** FNV-1a over every request field the decision pipeline reads. */
 uint64_t requestIrHash(const PlacementRequest &req);

@@ -49,20 +49,28 @@ encodeError(ErrCode code, const std::string &summary,
 } // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cacheShards)
+    : opts_(std::move(opts)), cache_(opts_.cacheShards),
+      latency_(registry_.group("serve").logHistogram("latency_us"))
 {
     if (!opts_.faultSpec.empty())
         faults_ = ServeFaultPlan::parse(opts_.faultSpec);
 
-    // Eager counters so a fresh server exports zeros, not absences.
-    auto &g = registry_.group("serve");
-    for (const char *c :
-         {"requests", "hits", "misses", "shed", "degraded",
-          "deadline_timeouts", "errors", "bad_frames", "dropped",
-          "connections", "conn_rejected", "journal_appended",
-          "computed"})
-        g.counter(c);
-    g.logHistogram("latency_us");
+    // The counters are atomics the request path bumps without a lock;
+    // the registry reads them. A fresh server exports zeros.
+    static constexpr const char *kCtrNames[kNumCtrs] = {
+        "requests",      "hits",         "misses",
+        "shed",          "degraded",     "deadline_timeouts",
+        "errors",        "bad_frames",   "dropped",
+        "connections",   "conn_rejected", "journal_appended",
+        "computed"};
+    for (int c = 0; c < kNumCtrs; ++c)
+        registry_.gauge(
+            std::string("serve.") + kCtrNames[c],
+            [this, c] {
+                return static_cast<double>(
+                    ctrs_[c].load(std::memory_order_relaxed));
+            },
+            StatKind::Counter);
     registry_.gauge("serve.queue_depth", [this] {
         return pool_ ? static_cast<double>(pool_->queueDepth()) : 0.0;
     });
@@ -218,7 +226,7 @@ Server::acceptLoop()
         if (liveConns_.load() >= opts_.maxConnections) {
             // Connection-level shed: answer once, structurally, and
             // close -- never silently refuse.
-            bump("conn_rejected");
+            bump(ConnRejected);
             sendFrame(fd, MsgType::Error,
                       encodeError(ErrCode::Busy,
                                   "connection limit reached",
@@ -226,7 +234,7 @@ Server::acceptLoop()
             ::close(fd);
             continue;
         }
-        bump("connections");
+        bump(Connections);
         ++liveConns_;
         std::lock_guard<std::mutex> lk(connMu_);
         connFds_.push_back(fd);
@@ -238,12 +246,12 @@ Server::acceptLoop()
 void
 Server::handleConnection(int fd)
 {
+    FrameReader reader(fd);
     for (;;) {
-        MsgType type;
-        std::string payload;
-        const RecvStatus rs = recvFrame(fd, type, payload, -1);
+        Frame frame;
+        const RecvStatus rs = reader.read(frame);
         if (rs == RecvStatus::Corrupt) {
-            bump("bad_frames");
+            bump(BadFrames);
             sendError(fd, ErrCode::CorruptFrame,
                       "corrupt frame received");
             break;
@@ -252,9 +260,9 @@ Server::handleConnection(int fd)
             break; // EOF / error / shutdown
 
         bool keep = true;
-        switch (type) {
+        switch (frame.type) {
         case MsgType::Place:
-            keep = handlePlace(fd, payload);
+            keep = handlePlace(fd, frame.payload);
             break;
         case MsgType::Stats:
             handleStats(fd);
@@ -263,7 +271,7 @@ Server::handleConnection(int fd)
             reply(fd, MsgType::Pong, std::string());
             break;
         default:
-            bump("bad_frames");
+            bump(BadFrames);
             sendError(fd, ErrCode::BadRequest,
                       "unexpected frame type");
             break;
@@ -284,22 +292,19 @@ Server::handleConnection(int fd)
 }
 
 bool
-Server::reply(int fd, MsgType type, const std::string &payload)
+Server::reply(int fd, MsgType type, std::string_view payload)
 {
     sleepUs(faults_.delayUs());
     return sendFrame(fd, type, payload, faults_.takeCorrupt());
 }
 
 bool
-Server::sendDecision(int fd, const std::string &encoded, bool degraded,
-                     bool cached, Clock::time_point arrival)
+Server::sendDecision(int fd, std::string_view encoded, bool degraded,
+                     Clock::time_point arrival)
 {
-    ByteWriter w;
-    w.u8(degraded ? 1 : 0);
-    w.u8(cached ? 1 : 0);
-    w.str(encoded);
     sampleLatency(arrival);
-    return reply(fd, MsgType::Decision, w.take());
+    return reply(fd, MsgType::Decision,
+                 decisionReply(encoded, degraded, false));
 }
 
 bool
@@ -330,10 +335,10 @@ Server::handleStats(int fd)
 
 // --- the request path -------------------------------------------------------
 
-SystemConfig
+const SystemConfig &
 Server::configFor(const std::string &topology, uint64_t *fp)
 {
-    const std::string name =
+    const std::string &name =
         topology.empty() ? opts_.topology : topology;
     std::lock_guard<std::mutex> lk(cfgMu_);
     auto it = cfgCache_.find(name);
@@ -370,21 +375,13 @@ Server::breakerRecord(bool internal_fault)
 }
 
 void
-Server::bump(const char *name, uint64_t n)
-{
-    std::lock_guard<std::mutex> lk(statsMu_);
-    registry_.group("serve").counter(name) += n;
-}
-
-void
 Server::sampleLatency(Clock::time_point arrival)
 {
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         Clock::now() - arrival)
                         .count();
     std::lock_guard<std::mutex> lk(statsMu_);
-    registry_.group("serve").logHistogram("latency_us").sample(
-        static_cast<uint64_t>(us < 0 ? 0 : us));
+    latency_.sample(static_cast<uint64_t>(us < 0 ? 0 : us));
 }
 
 void
@@ -432,13 +429,13 @@ Server::computeInto(const std::shared_ptr<Pending> &p,
         breakerRecord(false);
 
     if (!failed) {
-        bump("computed");
+        bump(Computed);
         // Commit order: journal first, then cache. A decision visible
         // in the cache is always already durable (modulo fdatasync at
         // drain), so "committed" can never un-happen across restart.
         journal_.append(key, encoded);
         if (journal_.isOpen())
-            bump("journal_appended");
+            bump(JournalAppended);
         cache_.put(key, encoded);
     }
 
@@ -460,29 +457,30 @@ Server::computeInto(const std::shared_ptr<Pending> &p,
 }
 
 bool
-Server::handlePlace(int fd, const std::string &payload)
+Server::handlePlace(int fd, std::string_view payload)
 {
     const Clock::time_point arrival = Clock::now();
-    bump("requests");
+    bump(Requests);
 
     if (faults_.takeDrop()) {
         // Injected network loss: vanish without a reply. The client's
         // read times out / sees EOF and its retry loop takes over.
-        bump("dropped");
+        bump(Dropped);
         return false;
     }
 
     PlacementRequest req;
-    SystemConfig cfg;
+    const SystemConfig *cfgp = nullptr;
     uint64_t fp = 0;
     try {
         ByteReader r(payload);
         req = PlacementRequest::decode(r);
-        cfg = configFor(req.topology, &fp);
+        cfgp = &configFor(req.topology, &fp);
     } catch (const SimError &e) {
-        bump("errors");
+        bump(Errors);
         return sendError(fd, e.code(), e.what(), 0, e.diagnostics());
     }
+    const SystemConfig &cfg = *cfgp;
 
     const DecisionKey key{requestIrHash(req), fp};
     const uint32_t deadline_us =
@@ -490,22 +488,22 @@ Server::handlePlace(int fd, const std::string &payload)
     const auto deadline =
         arrival + std::chrono::microseconds(deadline_us);
 
-    // Warm path: answer straight from the cache.
-    {
-        const std::string hit = cache_.get(key);
-        if (!hit.empty()) {
-            bump("hits");
-            return sendDecision(fd, hit, false, true, arrival);
-        }
+    // Warm path: send the cached reply frame as built. The fault hooks
+    // still apply; a corrupted reply flips a byte in a copy.
+    if (const std::string *frame = cache_.find(key)) {
+        bump(Hits);
+        sampleLatency(arrival);
+        sleepUs(faults_.delayUs());
+        return sendBytes(fd, *frame, faults_.takeCorrupt());
     }
-    bump("misses");
+    bump(Misses);
 
     // Breaker open: the classifier is presumed sick; do not queue more
     // work at it, answer heuristically right away.
     if (breakerOpen()) {
-        bump("degraded");
+        bump(Degraded);
         return sendDecision(fd, heuristicDecision(req, cfg).encode(),
-                            true, false, arrival);
+                            true, arrival);
     }
 
     // Single-flight: concurrent identical misses share one computation.
@@ -525,8 +523,8 @@ Server::handlePlace(int fd, const std::string &payload)
 
     if (owner) {
         const bool admitted = pool_ && pool_->trySubmit([this, pending,
-                                                         req, cfg, key] {
-            computeInto(pending, req, cfg, key);
+                                                         req, cfgp, key] {
+            computeInto(pending, req, *cfgp, key);
         });
         if (!admitted) {
             {
@@ -536,7 +534,7 @@ Server::handlePlace(int fd, const std::string &payload)
                     inflight_.erase(it);
             }
             const bool draining = !pool_ || pool_->draining();
-            bump("shed");
+            bump(Shed);
             return sendError(
                 fd,
                 draining ? ErrCode::ShuttingDown : ErrCode::Busy,
@@ -564,33 +562,33 @@ Server::handlePlace(int fd, const std::string &payload)
         if (budget_end >= deadline) {
             // The caller's deadline was at or inside the classifier
             // budget; there is no time left for a useful answer.
-            bump("deadline_timeouts");
+            bump(DeadlineTimeouts);
             return sendError(fd, ErrCode::DeadlineExceeded,
                              "deadline exceeded before placement "
                              "completed");
         }
-        bump("degraded");
+        bump(Degraded);
         return sendDecision(fd, heuristicDecision(req, cfg).encode(),
-                            true, false, arrival);
+                            true, arrival);
     }
 
     std::lock_guard<std::mutex> lk(pending->mu);
     if (!pending->failed)
-        return sendDecision(fd, pending->encoded, false, false, arrival);
+        return sendDecision(fd, pending->encoded, false, arrival);
 
     const uint32_t c = static_cast<uint32_t>(pending->code);
     if (c >= 100 && c < 150) {
         // The request itself was bad; degraded placement would be
         // garbage for an unparsable kernel. Tell the caller.
-        bump("errors");
+        bump(Errors);
         return sendError(fd, pending->code, pending->error, 0,
                          pending->diags);
     }
     // Internal fault: the caller still deserves an answer within the
     // deadline -- degrade.
-    bump("degraded");
+    bump(Degraded);
     return sendDecision(fd, heuristicDecision(req, cfg).encode(), true,
-                        false, arrival);
+                        arrival);
 }
 
 } // namespace serve

@@ -33,6 +33,7 @@
 #ifndef LADM_SERVE_SERVER_HH
 #define LADM_SERVE_SERVER_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -40,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -143,13 +145,32 @@ class Server
         std::vector<Diagnostic> diags;
     };
 
+    /** The serve.* counters, exported as Counter-kind gauges. */
+    enum Ctr
+    {
+        Requests,
+        Hits,
+        Misses,
+        Shed,
+        Degraded,
+        DeadlineTimeouts,
+        Errors,
+        BadFrames,
+        Dropped,
+        Connections,
+        ConnRejected,
+        JournalAppended,
+        Computed,
+        kNumCtrs
+    };
+
     void acceptLoop();
     void handleConnection(int fd);
-    bool handlePlace(int fd, const std::string &payload);
+    bool handlePlace(int fd, std::string_view payload);
     void handleStats(int fd);
-    bool reply(int fd, MsgType type, const std::string &payload);
-    bool sendDecision(int fd, const std::string &encoded, bool degraded,
-                      bool cached, Clock::time_point arrival);
+    bool reply(int fd, MsgType type, std::string_view payload);
+    bool sendDecision(int fd, std::string_view encoded, bool degraded,
+                      Clock::time_point arrival);
     bool sendError(int fd, ErrCode code, const std::string &summary,
                    uint32_t retry_after_ms = 0,
                    const std::vector<Diagnostic> &diags = {});
@@ -159,12 +180,21 @@ class Server
                      const PlacementRequest &req, const SystemConfig &cfg,
                      const DecisionKey &key);
 
-    SystemConfig configFor(const std::string &topology, uint64_t *fp);
+    /**
+     * The memoized config of a topology preset (empty = the default).
+     * Entries are never erased, so the reference outlives the request.
+     */
+    const SystemConfig &configFor(const std::string &topology,
+                                  uint64_t *fp);
 
     bool breakerOpen() const;
     void breakerRecord(bool internal_fault);
 
-    void bump(const char *name, uint64_t n = 1);
+    void
+    bump(Ctr c, uint64_t n = 1)
+    {
+        ctrs_[c].fetch_add(n, std::memory_order_relaxed);
+    }
     void sampleLatency(Clock::time_point arrival);
 
     ServerOptions opts_;
@@ -191,8 +221,11 @@ class Server
     mutable std::mutex breakerMu_;
     int breakerStreak_ = 0;
 
+    std::array<std::atomic<uint64_t>, kNumCtrs> ctrs_{};
+    /** Guards registry_'s one eager stat, the latency histogram. */
     mutable std::mutex statsMu_;
     telemetry::StatRegistry registry_;
+    LogHistogram &latency_;
 
     std::thread acceptThread_;
     std::mutex connMu_;

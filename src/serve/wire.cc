@@ -1,6 +1,8 @@
 #include "serve/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -8,6 +10,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -89,8 +92,8 @@ ByteReader::f64()
     return v;
 }
 
-std::string
-ByteReader::str()
+std::string_view
+ByteReader::view()
 {
     const uint32_t n = u32();
     if (n > buf_.size() - pos_) {
@@ -101,9 +104,25 @@ ByteReader::str()
                          "connection",
                          ErrCode::CorruptFrame}});
     }
-    std::string s(buf_.data() + pos_, n);
+    const std::string_view s = buf_.substr(pos_, n);
     pos_ += n;
     return s;
+}
+
+uint32_t
+ByteReader::count(size_t min_elem_bytes)
+{
+    const uint32_t n = u32();
+    if (n > (buf_.size() - pos_) / min_elem_bytes) {
+        throw SimError(SimError::Kind::Io, "oversized element count",
+                       {{"frame.payload", std::to_string(n),
+                         "count exceeds what the remaining payload "
+                         "can hold",
+                         "peer sent a malformed frame; drop the "
+                         "connection",
+                         ErrCode::CorruptFrame}});
+    }
+    return n;
 }
 
 namespace
@@ -119,69 +138,14 @@ struct FrameHeader
     uint32_t crc;
 } __attribute__((packed));
 
-static_assert(sizeof(FrameHeader) == 16, "wire header layout");
+static_assert(sizeof(FrameHeader) == kFrameHeaderBytes,
+              "wire header layout");
 
-/** write(2) the whole buffer, retrying short writes; no SIGPIPE. */
-bool
-sendAll(int fd, const void *p, size_t n)
-{
-    const char *c = static_cast<const char *>(p);
-    while (n > 0) {
-        const ssize_t w = ::send(fd, c, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        c += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
+/** First buffer allocation: a Place or Decision frame fits whole. */
+constexpr size_t kInitialBufferBytes = 4096;
 
-/**
- * Read exactly @p n bytes. @p deadline_ms counts down across calls so
- * header + payload share one timeout budget.
- */
-RecvStatus
-recvAll(int fd, void *p, size_t n, int *deadline_ms, bool *any_byte)
-{
-    char *c = static_cast<char *>(p);
-    while (n > 0) {
-        if (deadline_ms && *deadline_ms >= 0) {
-            struct pollfd pfd = {fd, POLLIN, 0};
-            const int r = ::poll(&pfd, 1, *deadline_ms);
-            if (r == 0)
-                return RecvStatus::Timeout;
-            if (r < 0) {
-                if (errno == EINTR)
-                    continue;
-                return RecvStatus::Error;
-            }
-        }
-        const ssize_t r = ::recv(fd, c, n, 0);
-        if (r == 0)
-            return RecvStatus::Eof;
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return RecvStatus::Timeout;
-            return RecvStatus::Error;
-        }
-        if (any_byte)
-            *any_byte = true;
-        c += r;
-        n -= static_cast<size_t>(r);
-    }
-    return RecvStatus::Ok;
-}
-
-} // namespace
-
-bool
-sendFrame(int fd, MsgType type, const std::string &payload,
-          bool corrupt_payload)
+FrameHeader
+makeHeader(MsgType type, std::string_view payload)
 {
     FrameHeader h;
     h.magic = kFrameMagic;
@@ -190,44 +154,174 @@ sendFrame(int fd, MsgType type, const std::string &payload,
     h.reserved = 0;
     h.length = static_cast<uint32_t>(payload.size());
     h.crc = serial::crc32(payload.data(), payload.size());
+    return h;
+}
 
-    std::string out(reinterpret_cast<const char *>(&h), sizeof h);
-    out += payload;
-    if (corrupt_payload && !payload.empty())
-        out[sizeof h + payload.size() / 2] ^= 0x5a;
-    return sendAll(fd, out.data(), out.size());
+/** sendmsg(2) every byte of @p iov[0..n), retrying short writes. */
+bool
+sendAll(int fd, struct iovec *iov, int n)
+{
+    while (n > 0) {
+        struct msghdr msg = {};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<size_t>(n);
+        const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        size_t left = static_cast<size_t>(w);
+        for (; n > 0 && left >= iov->iov_len; ++iov, --n)
+            left -= iov->iov_len;
+        if (n > 0) {
+            iov->iov_base = static_cast<char *>(iov->iov_base) + left;
+            iov->iov_len -= left;
+        }
+    }
+    return true;
+}
+
+int64_t
+nowNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+} // namespace
+
+void
+FrameReader::reset(int fd)
+{
+    fd_ = fd;
+    begin_ = end_ = 0;
 }
 
 RecvStatus
-recvFrame(int fd, MsgType &type, std::string &payload, int timeout_ms)
+FrameReader::read(Frame &out, int timeout_ms)
 {
-    FrameHeader h;
-    bool any_byte = false;
-    int budget = timeout_ms;
-    RecvStatus st =
-        recvAll(fd, &h, sizeof h, timeout_ms >= 0 ? &budget : nullptr,
-                &any_byte);
-    if (st == RecvStatus::Eof && any_byte)
-        return RecvStatus::Corrupt; // stream died mid-header
-    if (st != RecvStatus::Ok)
-        return st;
-    if (h.magic != kFrameMagic || h.version != kProtoVersion ||
-        h.length > kMaxFrameBytes)
-        return RecvStatus::Corrupt;
+    const int64_t deadline =
+        timeout_ms < 0 ? -1
+                       : nowNs() + static_cast<int64_t>(timeout_ms) *
+                                       1000000;
+    for (;;) {
+        const size_t have = end_ - begin_;
+        size_t need = kFrameHeaderBytes;
+        if (have >= kFrameHeaderBytes) {
+            FrameHeader h;
+            std::memcpy(&h, buf_.data() + begin_, sizeof h);
+            if (h.magic != kFrameMagic || h.version != kProtoVersion ||
+                h.length > kMaxFrameBytes)
+                return RecvStatus::Corrupt;
+            need += h.length;
+            if (have >= need) {
+                const char *payload =
+                    buf_.data() + begin_ + kFrameHeaderBytes;
+                if (serial::crc32(payload, h.length) != h.crc)
+                    return RecvStatus::Corrupt;
+                out.type = static_cast<MsgType>(h.type);
+                out.payload = std::string_view(payload, h.length);
+                begin_ += need;
+                return RecvStatus::Ok;
+            }
+        }
 
-    payload.resize(h.length);
-    if (h.length > 0) {
-        st = recvAll(fd, payload.data(), h.length,
-                     timeout_ms >= 0 ? &budget : nullptr, nullptr);
-        if (st == RecvStatus::Eof)
-            return RecvStatus::Corrupt; // truncated payload
+        // Move the partial frame to the front, then grow only when the
+        // buffer is full: allocation follows the bytes that arrived.
+        if (begin_ > 0) {
+            std::memmove(buf_.data(), buf_.data() + begin_, have);
+            begin_ = 0;
+            end_ = have;
+        }
+        if (end_ == buf_.size())
+            buf_.resize(std::max(kInitialBufferBytes,
+                                 std::min(2 * buf_.size(), need)));
+
+        const RecvStatus st = fill(deadline);
+        if (st == RecvStatus::Eof && end_ > begin_)
+            return RecvStatus::Corrupt; // stream died mid-frame
         if (st != RecvStatus::Ok)
             return st;
     }
-    if (serial::crc32(payload.data(), payload.size()) != h.crc)
-        return RecvStatus::Corrupt;
-    type = static_cast<MsgType>(h.type);
-    return RecvStatus::Ok;
+}
+
+RecvStatus
+FrameReader::fill(int64_t deadline_ns)
+{
+    for (;;) {
+        if (deadline_ns >= 0) {
+            const int64_t left = deadline_ns - nowNs();
+            struct pollfd pfd = {fd_, POLLIN, 0};
+            const int r = ::poll(
+                &pfd, 1,
+                left > 0 ? static_cast<int>((left + 999999) / 1000000)
+                         : 0);
+            if (r == 0) {
+                if (left <= 0)
+                    return RecvStatus::Timeout;
+                continue;
+            }
+            if (r < 0) {
+                if (errno == EINTR)
+                    continue;
+                return RecvStatus::Error;
+            }
+        }
+        const ssize_t r =
+            ::recv(fd_, buf_.data() + end_, buf_.size() - end_,
+                   deadline_ns >= 0 ? MSG_DONTWAIT : 0);
+        if (r > 0) {
+            end_ += static_cast<size_t>(r);
+            return RecvStatus::Ok;
+        }
+        if (r == 0)
+            return RecvStatus::Eof;
+        if (errno == EINTR)
+            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            if (deadline_ns >= 0)
+                continue; // spurious wake-up: poll again
+            return RecvStatus::Timeout;
+        }
+        return RecvStatus::Error;
+    }
+}
+
+std::string
+encodeFrame(MsgType type, std::string_view payload)
+{
+    const FrameHeader h = makeHeader(type, payload);
+    std::string out(reinterpret_cast<const char *>(&h), sizeof h);
+    out += payload;
+    return out;
+}
+
+bool
+sendFrame(int fd, MsgType type, std::string_view payload,
+          bool corrupt_payload)
+{
+    if (corrupt_payload)
+        return sendBytes(fd, encodeFrame(type, payload), true);
+    FrameHeader h = makeHeader(type, payload);
+    struct iovec iov[2] = {
+        {&h, sizeof h},
+        {const_cast<char *>(payload.data()), payload.size()}};
+    return sendAll(fd, iov, 2);
+}
+
+bool
+sendBytes(int fd, std::string_view frame, bool corrupt_payload)
+{
+    if (corrupt_payload && frame.size() > kFrameHeaderBytes) {
+        std::string copy(frame);
+        copy[kFrameHeaderBytes + (frame.size() - kFrameHeaderBytes) / 2] ^=
+            0x5a;
+        return sendBytes(fd, copy, false);
+    }
+    struct iovec iov = {const_cast<char *>(frame.data()), frame.size()};
+    return sendAll(fd, &iov, 1);
 }
 
 namespace

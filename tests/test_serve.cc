@@ -107,23 +107,23 @@ TEST(ServeWire, FrameRoundTripAndCorruptionDetection)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    FrameReader reader(sv[1]);
 
     ASSERT_TRUE(sendFrame(sv[0], MsgType::Place, "payload bytes"));
-    MsgType type;
-    std::string payload;
-    EXPECT_EQ(recvFrame(sv[1], type, payload, 1000), RecvStatus::Ok);
-    EXPECT_EQ(type, MsgType::Place);
-    EXPECT_EQ(payload, "payload bytes");
+    Frame f;
+    EXPECT_EQ(reader.read(f, 1000), RecvStatus::Ok);
+    EXPECT_EQ(f.type, MsgType::Place);
+    EXPECT_EQ(f.payload, "payload bytes");
 
     // A deliberately corrupted frame fails CRC validation.
     ASSERT_TRUE(sendFrame(sv[0], MsgType::Place, "payload bytes", true));
-    EXPECT_EQ(recvFrame(sv[1], type, payload, 1000),
-              RecvStatus::Corrupt);
+    EXPECT_EQ(reader.read(f, 1000), RecvStatus::Corrupt);
 
     // Clean close reads as EOF, and an empty wait as Timeout.
-    EXPECT_EQ(recvFrame(sv[1], type, payload, 50), RecvStatus::Timeout);
+    reader.reset(sv[1]);
+    EXPECT_EQ(reader.read(f, 50), RecvStatus::Timeout);
     ::close(sv[0]);
-    EXPECT_EQ(recvFrame(sv[1], type, payload, 1000), RecvStatus::Eof);
+    EXPECT_EQ(reader.read(f, 1000), RecvStatus::Eof);
     ::close(sv[1]);
 }
 
