@@ -20,24 +20,17 @@
  * baseline; the gates are the structural assertions above, so the bench
  * is its own CI check (exit 1 on violation).
  *
- * Flags:
- *   --seconds F      measured duration per phase (default 1.5)
- *   --clients N      steady-phase client threads (default 4)
- *   --kernels N      steady-phase working-set size (default 16)
- *   --connect ADDR   skip the in-process servers and drive an external
- *                    daemon (tools/ladm_served.cc) at ADDR instead; one
- *                    "external" phase, stats fetched over the wire. The
- *                    CI smoke job uses this to exercise SIGTERM/exit-75
- *                    and journal warm restart on the real binary.
- *   --min-hit-rate F with --connect: gate the phase hit rate (the
- *                    warm-restart assertion: a replayed journal serves
- *                    hits immediately)
+ * Flags (--help lists them): --seconds, --clients, --kernels, and
+ * --connect ADDR, which skips the in-process servers and drives an
+ * external daemon (tools/ladm_served.cc) in one "external" phase with
+ * stats fetched over the wire; the CI smoke job uses it to exercise
+ * SIGTERM/exit-75 and journal warm restart, gating the replayed
+ * journal's hit rate with --min-hit-rate.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -46,6 +39,7 @@
 
 #include <unistd.h>
 
+#include "config/options.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "snapshot/snapshot.hh"
@@ -211,29 +205,18 @@ benchMain(int argc, char **argv)
     int kernels = 16;
     std::string connect;
     double min_hit_rate = -1.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc)
-            seconds = std::atof(argv[++i]);
-        else if (std::strncmp(argv[i], "--seconds=", 10) == 0)
-            seconds = std::atof(argv[i] + 10);
-        else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
-            clients = std::atoi(argv[++i]);
-        else if (std::strncmp(argv[i], "--clients=", 10) == 0)
-            clients = std::atoi(argv[i] + 10);
-        else if (std::strcmp(argv[i], "--kernels") == 0 && i + 1 < argc)
-            kernels = std::atoi(argv[++i]);
-        else if (std::strncmp(argv[i], "--kernels=", 10) == 0)
-            kernels = std::atoi(argv[i] + 10);
-        else if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc)
-            connect = argv[++i];
-        else if (std::strncmp(argv[i], "--connect=", 10) == 0)
-            connect = argv[i] + 10;
-        else if (std::strcmp(argv[i], "--min-hit-rate") == 0 &&
-                 i + 1 < argc)
-            min_hit_rate = std::atof(argv[++i]);
-        else if (std::strncmp(argv[i], "--min-hit-rate=", 15) == 0)
-            min_hit_rate = std::atof(argv[i] + 15);
-    }
+    opt::parse(
+        argc, argv, 0,
+        {opt::local("--seconds", &seconds,
+                    "measured duration per phase (default 1.5)", 0),
+         opt::local("--clients", &clients,
+                    "steady-phase client threads (default 4)"),
+         opt::local("--kernels", &kernels,
+                    "steady-phase working-set size (default 16)"),
+         opt::local("--connect", &connect,
+                    "drive an external daemon at this address instead"),
+         opt::local("--min-hit-rate", &min_hit_rate,
+                    "with --connect: smallest allowed hit rate")});
 
     std::printf("Placement-advisor service load (src/serve)\n");
     std::printf("%-10s %8s %8s %8s %7s %7s %7s %9s %9s\n", "phase",

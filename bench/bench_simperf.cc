@@ -20,18 +20,11 @@
  * ladm-simperf-v1). Runs are strictly serial -- wall-clock throughput of
  * one worker is the tracked number; --jobs is accepted but ignored.
  *
- * Flags:
- *   --repeats N          run the basket N times, keep the fastest pass
- *                        (default 3; CI quick mode uses 1)
- *   --baseline PATH      compare against the warp_steps_per_sec recorded
- *                        in an earlier BENCH_simperf.json
- *   --max-regression F   with --baseline: exit 1 if total throughput
- *                        drops below (1-F) x baseline (default 0.25)
- *   --min-shard-speedup F  exit 1 if the PDES basket's --shards=4 over
- *                        --shards=1 speedup falls below F; enforced only
- *                        when the host has >= 4 cores (the sharded loop
- *                        cannot beat serial on fewer), otherwise noted
- *                        and skipped
+ * Flags (--help lists them): --repeats, --baseline, --max-regression
+ * (with --baseline, exit 1 if total throughput drops below (1-F) x
+ * baseline) and --min-shard-speedup (exit 1 if the PDES basket's
+ * --shards=4 over --shards=1 speedup falls below F; enforced only when
+ * the host has >= 4 cores, otherwise noted and skipped).
  *
  * The extra "pdes" basket runs a high-locality big-topology set (the
  * sharded event loop's intended regime: under LADM placement nearly
@@ -44,7 +37,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <cstring>
 #include <iterator>
 #include <thread>
 
@@ -124,38 +116,25 @@ extractJsonNumber(const std::string &text, const std::string &key)
 int
 benchMain(int argc, char **argv)
 {
-    parseJobsFlag(argc, argv); // accepted for uniformity; runs are serial
-
-    // Observability flags (--timeline-out / --obs-attribution /
-    // --obs-heatmap ...) so A/B overhead runs of the same binary work:
-    // obs off is the tracked configuration, obs on measures its own cost.
-    telemetry::session().configure(
-        TelemetryOptions::parseArgs(argc, argv));
-
     int repeats = 3;
     std::string baseline_path;
     double max_regression = 0.25;
     double min_shard_speedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc)
-            repeats = std::atoi(argv[++i]);
-        else if (std::strncmp(argv[i], "--repeats=", 10) == 0)
-            repeats = std::atoi(argv[i] + 10);
-        else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc)
-            baseline_path = argv[++i];
-        else if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-            baseline_path = argv[i] + 11;
-        else if (std::strcmp(argv[i], "--max-regression") == 0 &&
-                 i + 1 < argc)
-            max_regression = std::atof(argv[++i]);
-        else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
-            max_regression = std::atof(argv[i] + 17);
-        else if (std::strcmp(argv[i], "--min-shard-speedup") == 0 &&
-                 i + 1 < argc)
-            min_shard_speedup = std::atof(argv[++i]);
-        else if (std::strncmp(argv[i], "--min-shard-speedup=", 20) == 0)
-            min_shard_speedup = std::atof(argv[i] + 20);
-    }
+    // --jobs is accepted for uniformity; runs are serial. The telemetry
+    // options (--timeline-out / --obs-attribution ...) let A/B overhead
+    // runs of the same binary work: obs off is the tracked
+    // configuration, obs on measures its own cost.
+    parseJobsFlag(
+        argc, argv,
+        {opt::local("--repeats", &repeats,
+                    "timed passes per basket, best kept (default 3)"),
+         opt::local("--baseline", &baseline_path,
+                    "BENCH_simperf.json to gate against"),
+         opt::local("--max-regression", &max_regression,
+                    "largest allowed drop vs the baseline (default 0.25)"),
+         opt::local("--min-shard-speedup", &min_shard_speedup,
+                    "smallest shards=4 over shards=1 speedup (default 0 = "
+                    "no gate)")});
 
     printHeaderLine("Simulator throughput (warp-steps/sec of wall time)");
 

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "compiler/index_analysis.hh"
-#include "snapshot/snapshot.hh"
 #include "kernel/expr.hh"
 
 using namespace ladm;
@@ -66,8 +66,12 @@ cachePolicy(LocalityType t)
 } // namespace
 
 int
-benchMain()
+benchMain(int argc, char **argv)
 {
+    // Nothing here simulates; the bench options are accepted for
+    // uniformity with every other bench.
+    bench::parseJobsFlag(argc, argv);
+
     std::printf("Table II -- index equations, detected locality types, "
                 "and LASP actions\n\n");
 
@@ -108,10 +112,10 @@ benchMain()
 }
 
 int
-main()
+main(int argc, char **argv)
 {
     // snapshot::runMain maps a graceful SIGINT/SIGTERM stop (checkpoint
     // flushed at the engine's safe point) to exit 75 and lets the
     // telemetry atexit finalizer publish partial sinks.
-    return ladm::snapshot::runMain([&] { return benchMain(); });
+    return ladm::snapshot::runMain([&] { return benchMain(argc, argv); });
 }

@@ -6,14 +6,17 @@
 
 #include <cstdio>
 
-#include "config/presets.hh"
-#include "snapshot/snapshot.hh"
+#include "bench_util.hh"
 
 using namespace ladm;
 
 int
-benchMain()
+benchMain(int argc, char **argv)
 {
+    // Nothing here simulates; the bench options are accepted for
+    // uniformity with every other bench.
+    bench::parseJobsFlag(argc, argv);
+
     const SystemConfig c = presets::multiGpu4x4();
     const SystemConfig mono = presets::monolithic256();
 
@@ -68,10 +71,10 @@ benchMain()
 }
 
 int
-main()
+main(int argc, char **argv)
 {
     // snapshot::runMain maps a graceful SIGINT/SIGTERM stop (checkpoint
     // flushed at the engine's safe point) to exit 75 and lets the
     // telemetry atexit finalizer publish partial sinks.
-    return ladm::snapshot::runMain([&] { return benchMain(); });
+    return ladm::snapshot::runMain([&] { return benchMain(argc, argv); });
 }

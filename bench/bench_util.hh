@@ -8,27 +8,11 @@
  * paper (cycle-approximate model, scaled inputs); the shapes are the
  * reproduction target (see EXPERIMENTS.md).
  *
- * LADM_BENCH_SCALE (default 1.0) scales every workload's linear size;
- * use e.g. 0.5 for a quick pass.
- *
- * Grids run through core::SweepRunner: `--jobs N` (or LADM_BENCH_JOBS,
- * default hardware concurrency) fans the independent experiments across
- * worker threads. Results, printed rows, and the CSV/JSON sinks are
- * identical at any worker count; tracing forces one worker.
- *
- * Robustness flags, stripped by parseJobsFlag() so every bench gets
- * them for free:
- *   --check               arm the ladm::check invariant suite (LADM_CHECK)
- *   --continue-on-error   a failing grid point becomes an error row in
- *                         the sinks and the sweep proceeds
- *                         (LADM_BENCH_CONTINUE)
- *   --resume-sweep[=path] journal completed cells (LADM_SWEEP_JOURNAL)
- *                         and replay any cell the journal holds, from
- *                         this grid or another, instead of simulating
- *                         it; see core/sweep_journal.hh
- *   --checkpoint-every N / --checkpoint-out P / --resume P
- *                         mid-run checkpointing of the active
- *                         experiment; see snapshot/snapshot.hh
+ * Every bench takes the shared options of config/options.hh (workload
+ * scale, --jobs worker count, telemetry sinks, --check, checkpointing,
+ * --resume-sweep ...); `--help` lists them and README.md tables them.
+ * Results, printed rows, and the CSV/JSON sinks are identical at any
+ * worker count; tracing forces one worker.
  */
 
 #ifndef LADM_BENCH_BENCH_UTIL_HH
@@ -36,18 +20,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <cstring>
-
-#include "check/invariants.hh"
 #include "common/atomic_file.hh"
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
-#include "core/sweep_journal.hh"
 #include "core/sweep_runner.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/json_writer.hh"
@@ -59,81 +39,30 @@ namespace ladm
 namespace bench
 {
 
-/**
- * Continue-on-error mode (--continue-on-error / LADM_BENCH_CONTINUE):
- * runGrid() records a failing cell's error in its RunMetrics row instead
- * of rethrowing.
- */
-inline bool &
-continueOnError()
-{
-    static bool on = [] {
-        const char *v = std::getenv("LADM_BENCH_CONTINUE");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return on;
-}
-
-/** LADM_BENCH_SCALE, 1.0 when unset; anything but a number > 0 throws. */
+/** --bench-scale / LADM_BENCH_SCALE, 1.0 when unset. */
 inline double
 benchScale()
 {
-    const char *s = std::getenv("LADM_BENCH_SCALE");
-    return s && *s ? core::parsePositive("LADM_BENCH_SCALE", s) : 1.0;
-}
-
-/** Run one (workload, policy, system) combination at the bench scale. */
-inline RunMetrics
-run(const std::string &workload, Policy policy, const SystemConfig &cfg)
-{
-    auto w = workloads::makeWorkload(workload, benchScale());
-    return runExperiment(*w, policy, cfg);
+    return opt::number(opt::kBenchScale, 1.0);
 }
 
 /**
- * Parse and strip "--jobs N" / "--jobs=N" from the command line, plus
- * the robustness flags "--check" (arms the invariant suite) and
- * "--continue-on-error" (error rows instead of sweep death).
+ * Parse a bench's command line: the shared options a simulator bench
+ * honours plus the bench's own @p local ones (config/options.hh), then
+ * configure the telemetry session from them.
  *
- * Also configures the telemetry session from the LADM_* environment, so
- * every bench honors LADM_TIMELINE_OUT / LADM_OBS_ATTRIBUTION /
- * LADM_OBS_HEATMAP etc. without its own flag plumbing — with obs armed,
- * the latency columns of the CSV/JSON sinks carry real percentiles.
- *
- * @return the requested worker count, 0 when absent (= resolve from
- *         LADM_BENCH_JOBS, then hardware concurrency).
+ * @return the --jobs / LADM_BENCH_JOBS worker count, 0 when unset (=
+ *         hardware concurrency).
  */
 inline int
-parseJobsFlag(int &argc, char **argv)
+parseJobsFlag(int &argc, char **argv,
+              const std::vector<opt::Option> &local = {})
 {
-    telemetry::session().configure(TelemetryOptions::fromEnv());
-    // Checkpoint/resume flags (--checkpoint-every / --checkpoint-out /
-    // --resume) are stripped here too, so every bench is killable and
-    // resumable without per-binary plumbing.
-    snapshot::parseArgs(argc, argv);
-    int jobs = 0;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = static_cast<int>(
-                core::parsePositive("--jobs", argv[++i], /*whole=*/true));
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<int>(
-                core::parsePositive("--jobs", argv[i] + 7, /*whole=*/true));
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check::setEnabled(true);
-        } else if (std::strcmp(argv[i], "--continue-on-error") == 0) {
-            continueOnError() = true;
-        } else if (std::strcmp(argv[i], "--resume-sweep") == 0) {
-            core::setSweepJournalPath("ladm.sweep.jnl");
-        } else if (std::strncmp(argv[i], "--resume-sweep=", 15) == 0) {
-            core::setSweepJournalPath(argv[i] + 15);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return jobs;
+    opt::parse(argc, argv,
+               opt::Simulator | opt::Telemetry | opt::Sweep | opt::Bench,
+               local);
+    telemetry::session().configure(TelemetryOptions::resolve());
+    return static_cast<int>(opt::whole(opt::kJobs, 0));
 }
 
 /** One grid cell at the bench scale (SweepCell factory). */
@@ -167,7 +96,7 @@ runGrid(const std::vector<core::SweepCell> &cells, int jobs = 0)
                      cells.size(), jobs);
     }
     std::vector<RunMetrics> out =
-        core::runSweep(cells, jobs, continueOnError());
+        core::runSweep(cells, jobs, opt::on(opt::kBenchContinue));
     for (size_t i = 0; i < out.size(); ++i) {
         if (out[i].failed()) {
             std::fprintf(stderr, "[bench] cell %zu (%s on %s) failed: %s\n",
@@ -228,18 +157,18 @@ representativeWorkloads()
 }
 
 /**
- * Optional machine-readable sink: when LADM_BENCH_CSV names a directory,
- * every run() result is appended to <dir>/<bench>.csv.
+ * Optional machine-readable sink: when --bench-csv / LADM_BENCH_CSV
+ * names a directory, every run() result is appended to <dir>/<bench>.csv.
  */
 class CsvSink
 {
   public:
     explicit CsvSink(const std::string &bench_name)
     {
-        const char *dir = std::getenv("LADM_BENCH_CSV");
-        if (!dir)
+        const std::string dir = opt::str(opt::kBenchCsv);
+        if (dir.empty())
             return;
-        path_ = std::string(dir) + "/" + bench_name + ".csv";
+        path_ = dir + "/" + bench_name + ".csv";
         body_ = csvHeader() + "\n";
         if (!atomicWriteBytes(path_, body_))
             path_.clear();

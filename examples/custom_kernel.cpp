@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "check/invariants.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 #include "config/presets.hh"
 #include "runtime/ladm_runtime.hh"
@@ -21,8 +21,10 @@ using namespace ladm;
 using namespace ladm::dsl;
 
 int
-runExample()
+runExample(int argc, char **argv)
 {
+    opt::parse(argc, argv, opt::Simulator);
+
     // 1. Describe the kernel: one access expression per global load or
     //    store, in prime components (Fig. 6 of the paper).
     const int64_t rows = 65536;
@@ -90,9 +92,7 @@ runExample()
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
-    return ladm::snapshot::runMain([&] { return runExample(); });
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
+    return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

@@ -14,7 +14,7 @@
 #include <sstream>
 
 #include "compiler/parser.hh"
-#include "check/invariants.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 #include "config/presets.hh"
 #include "runtime/ladm_runtime.hh"
@@ -42,6 +42,8 @@ kernel sgemm(A, B, C) {
 int
 runExample(int argc, char **argv)
 {
+    opt::parse(argc, argv, opt::Simulator, {},
+               "[options] [file [grid-x grid-y block-x block-y trips]]");
     std::string source = kDefaultKernel;
     if (argc > 1) {
         std::ifstream in(argv[1]);
@@ -124,9 +126,7 @@ runExample(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
     return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "check/invariants.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
@@ -17,8 +17,9 @@
 using namespace ladm;
 
 int
-runExample()
+runExample(int argc, char **argv)
 {
+    opt::parse(argc, argv, opt::Simulator);
     const SystemConfig multi = presets::multiGpu4x4();
 
     auto report = [&](Policy p) {
@@ -63,9 +64,7 @@ runExample()
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
-    return ladm::snapshot::runMain([&] { return runExample(); });
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
+    return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "check/invariants.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
@@ -64,8 +64,9 @@ class HandTunedGemm : public PolicyBundle
 } // namespace
 
 int
-runExample()
+runExample(int argc, char **argv)
 {
+    opt::parse(argc, argv, opt::Simulator);
     const SystemConfig multi = presets::multiGpu4x4();
 
     std::printf("tiled GEMM: hand-tuned APIs vs automatic LADM\n\n");
@@ -106,9 +107,7 @@ runExample()
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
-    return ladm::snapshot::runMain([&] { return runExample(); });
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
+    return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

@@ -14,13 +14,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "check/invariants.hh"
-#include "snapshot/snapshot.hh"
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
+#include "snapshot/snapshot.hh"
 #include "telemetry/session.hh"
 #include "workloads/registry.hh"
 
@@ -29,18 +27,12 @@ using namespace ladm;
 int
 runExample(int argc, char **argv)
 {
-    telemetry::session().configure(
-        TelemetryOptions::parseArgs(argc, argv));
+    opt::parse(argc, argv, opt::Simulator | opt::Telemetry);
+    telemetry::session().configure(TelemetryOptions::resolve());
     // The machine: 4 discrete GPUs x 4 chiplets, 256 SMs (Table III).
-    SystemConfig multi = presets::multiGpu4x4();
-    // --shards N: run the NUMA machine on the sharded PDES engine
-    // (0 = resolve from LADM_SHARDS; 1 = serial reference).
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0) {
-            multi.shards = std::atoi(argv[i + 1]);
-            break;
-        }
-    }
+    // Its shards field stays 0, so --shards N / LADM_SHARDS runs it on
+    // the sharded PDES engine (1, the default, is the serial reference).
+    const SystemConfig multi = presets::multiGpu4x4();
     // The yardstick: a hypothetical monolithic 256-SM GPU.
     const SystemConfig mono = presets::monolithic256();
 
@@ -100,9 +92,7 @@ runExample(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
     return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

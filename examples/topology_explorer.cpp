@@ -11,12 +11,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "check/invariants.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 #include "config/presets.hh"
 #include "core/sweep_runner.hh"
@@ -27,20 +25,9 @@ using namespace ladm;
 int
 runExample(int argc, char **argv)
 {
-    telemetry::session().configure(
-        TelemetryOptions::parseArgs(argc, argv));
-
-    int jobs = 0;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = std::atoi(argv[++i]);
-        else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            jobs = std::atoi(argv[i] + 7);
-        else
-            argv[out++] = argv[i];
-    }
-    argc = out;
+    opt::parse(argc, argv, opt::Simulator | opt::Telemetry | opt::Sweep,
+               {}, "[options] [workload]");
+    telemetry::session().configure(TelemetryOptions::resolve());
     const std::string name = argc > 1 ? argv[1] : "SQ-GEMM";
 
     struct Shape
@@ -65,7 +52,8 @@ runExample(int argc, char **argv)
         c.cfg = s.cfg;
         cells.push_back(c);
     }
-    const std::vector<RunMetrics> results = core::runSweep(cells, jobs);
+    // --jobs / LADM_BENCH_JOBS picks the worker count.
+    const std::vector<RunMetrics> results = core::runSweep(cells);
 
     std::printf("%s under LADM across machine shapes\n\n", name.c_str());
     std::printf("%-22s %12s %9s %10s %12s\n", "machine", "cycles",
@@ -101,9 +89,7 @@ runExample(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // --check arms the invariant suite; runMain renders a SimError as a
-    // structured report instead of an unhandled-exception backtrace.
-    ladm::check::parseArgs(argc, argv);
-    ladm::snapshot::parseArgs(argc, argv);
+    // runMain renders a SimError (a bad flag included) as a structured
+    // report instead of an unhandled-exception backtrace.
     return ladm::snapshot::runMain([&] { return runExample(argc, argv); });
 }

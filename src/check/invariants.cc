@@ -1,9 +1,10 @@
 #include "check/invariants.hh"
 
+#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
+
+#include "config/options.hh"
 
 namespace ladm
 {
@@ -13,69 +14,43 @@ namespace check
 namespace
 {
 
-bool
-envEnabled()
-{
-    const char *v = std::getenv("LADM_CHECK");
-    return v && *v && std::strcmp(v, "0") != 0;
-}
-
-uint64_t
-envWatchdog()
-{
-    if (const char *v = std::getenv("LADM_CHECK_WATCHDOG")) {
-        const unsigned long long n = std::strtoull(v, nullptr, 10);
-        if (n > 0)
-            return n;
-    }
-    // A healthy kernel advances time every O(warp-slot) events; one
-    // million zero-progress events is far past any legitimate burst of
-    // same-cycle wakeups yet fires within a second of wall-clock.
-    return 1'000'000;
-}
-
-bool g_enabled = envEnabled();
-uint64_t g_watchdog = envWatchdog();
+// -1 / 0 until first read from the option table; atomic because sweep
+// workers ask concurrently.
+std::atomic<int> g_enabled{-1};
+std::atomic<uint64_t> g_watchdog{0};
 
 } // namespace
 
 bool
 enabled()
 {
-    return g_enabled;
+    if (g_enabled.load(std::memory_order_relaxed) < 0)
+        g_enabled.store(opt::on(opt::kCheck), std::memory_order_relaxed);
+    return g_enabled.load(std::memory_order_relaxed) > 0;
 }
 
 void
 setEnabled(bool on)
 {
-    g_enabled = on;
+    g_enabled.store(on, std::memory_order_relaxed);
 }
 
 uint64_t
 watchdogLimit()
 {
-    return g_watchdog;
+    // A healthy kernel advances time every O(warp-slot) events; one
+    // million zero-progress events is far past any legitimate burst of
+    // same-cycle wakeups yet fires within a second of wall-clock.
+    if (g_watchdog.load(std::memory_order_relaxed) == 0)
+        g_watchdog.store(opt::whole(opt::kCheckWatchdog, 1'000'000),
+                         std::memory_order_relaxed);
+    return g_watchdog.load(std::memory_order_relaxed);
 }
 
 void
 setWatchdogLimit(uint64_t events)
 {
-    g_watchdog = events ? events : 1;
-}
-
-void
-parseArgs(int &argc, char **argv)
-{
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
-            setEnabled(true);
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    argv[argc] = nullptr;
+    g_watchdog.store(events ? events : 1, std::memory_order_relaxed);
 }
 
 int

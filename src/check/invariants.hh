@@ -9,11 +9,10 @@
  * (kernel drain, scheduler output) plus a no-progress watchdog inside
  * the engine's event loop.
  *
- * Enabling: `LADM_CHECK=1` in the environment, or the `--check` flag any
- * bench harness strips, or check::setEnabled(true) from code. Disabled
- * (the default) every hook compiles to one predicate on a cached bool --
- * the same zero-cost pattern the telemetry sinks use -- so tier-1
- * wall-clock is unaffected.
+ * Enabling: `--check` / `LADM_CHECK=1` (config/options.hh), or
+ * check::setEnabled(true) from code. Disabled (the default) every hook
+ * compiles to one predicate on a cached bool -- the same zero-cost
+ * pattern the telemetry sinks use -- so tier-1 wall-clock is unaffected.
  *
  * Failures throw InvariantViolation with structured Diagnostics; the
  * GpuSystem layer additionally dumps the machine's full stat tree (the
@@ -34,10 +33,10 @@ namespace ladm
 namespace check
 {
 
-/** True when the invariant suite is armed (env LADM_CHECK / --check). */
+/** True when the invariant suite is armed (--check / LADM_CHECK). */
 bool enabled();
 
-/** Arm/disarm programmatically (overrides the environment). */
+/** Arm/disarm programmatically (overrides the option). */
 void setEnabled(bool on);
 
 /** RAII arm/disarm for tests. */
@@ -61,17 +60,11 @@ class ScopedEnable
  * No-progress watchdog threshold: the engine aborts when this many
  * consecutive events fire without simulated time advancing (a healthy
  * kernel advances time at least every few hundred events; see
- * docs/robustness.md for tuning). LADM_CHECK_WATCHDOG overrides.
+ * docs/robustness.md for tuning). --check-watchdog /
+ * LADM_CHECK_WATCHDOG overrides.
  */
 uint64_t watchdogLimit();
 void setWatchdogLimit(uint64_t events);
-
-/**
- * Strip `--check` (arm the suite) from argv, mirroring
- * TelemetryOptions::parseArgs so entry points opt in from the command
- * line.
- */
-void parseArgs(int &argc, char **argv);
 
 /**
  * Entry-point guard: run @p body, catching SimError into a structured

@@ -1,172 +1,41 @@
 #include "config/system_config.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "check/fault_plan.hh"
 #include "common/bitutils.hh"
-#include "common/logging.hh"
+#include "config/options.hh"
 
 namespace ladm
 {
 
-namespace
-{
-
-void
-envString(const char *var, std::string &out)
-{
-    if (const char *v = std::getenv(var))
-        out = v;
-}
-
-void
-envU64(const char *var, uint64_t &out)
-{
-    if (const char *v = std::getenv(var)) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(v, &end, 10);
-        if (end == v || *end != '\0')
-            ladm_fatal(var, ": expected a non-negative integer, got '", v,
-                       "'");
-        out = parsed;
-    }
-}
-
-void
-envBool(const char *var, bool &out)
-{
-    if (const char *v = std::getenv(var)) {
-        out = !(std::strcmp(v, "") == 0 || std::strcmp(v, "0") == 0 ||
-                std::strcmp(v, "false") == 0 || std::strcmp(v, "off") == 0);
-    }
-}
-
-} // namespace
-
 TelemetryOptions
-TelemetryOptions::fromEnv()
+TelemetryOptions::resolve()
 {
     TelemetryOptions o;
-    envString("LADM_STATS_JSON", o.statsJsonPath);
-    envString("LADM_STATS_CSV", o.statsCsvPath);
-    envString("LADM_STATS_TEXT", o.statsTextPath);
-    envString("LADM_TRACE_OUT", o.traceOutPath);
-    uint64_t sample = o.traceSampleEvery;
-    envU64("LADM_TRACE_SAMPLE", sample);
-    o.traceSampleEvery = static_cast<uint32_t>(sample ? sample : 1);
-    envU64("LADM_TRACE_MAX_EVENTS", o.traceMaxEvents);
-
-    envString("LADM_TIMELINE_OUT", o.timelineOutPath);
-    uint64_t window = o.timelineWindowCycles;
-    envU64("LADM_TIMELINE_WINDOW", window);
-    o.timelineWindowCycles = window ? window : 1;
-    uint64_t max_windows = o.timelineMaxWindows;
-    envU64("LADM_TIMELINE_MAX_WINDOWS", max_windows);
-    o.timelineMaxWindows =
-        static_cast<uint32_t>(max_windows >= 2 ? max_windows : 2);
-    envString("LADM_TIMELINE_PATHS", o.timelinePaths);
-    envBool("LADM_OBS_ATTRIBUTION", o.obsAttribution);
-    envBool("LADM_OBS_HEATMAP", o.obsHeatmap);
-    uint64_t hot = o.obsHotPages;
-    envU64("LADM_OBS_HOT_PAGES", hot);
-    o.obsHotPages = static_cast<uint32_t>(hot);
-    return o;
-}
-
-TelemetryOptions
-TelemetryOptions::parseArgs(int &argc, char **argv)
-{
-    TelemetryOptions o = fromEnv();
-
-    // Match "--flag value" and "--flag=value"; consume matched arguments
-    // by compacting argv in place.
-    auto match = [&](int &i, const char *flag,
-                     std::string &out) -> bool {
-        const size_t len = std::strlen(flag);
-        if (std::strncmp(argv[i], flag, len) != 0)
-            return false;
-        if (argv[i][len] == '=') {
-            out = argv[i] + len + 1;
-            return true;
-        }
-        if (argv[i][len] != '\0')
-            return false;
-        if (i + 1 >= argc)
-            ladm_fatal(flag, " expects a value");
-        out = argv[++i];
-        return true;
-    };
-
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string val;
-        if (match(i, "--stats-json", o.statsJsonPath) ||
-            match(i, "--stats-csv", o.statsCsvPath) ||
-            match(i, "--stats-text", o.statsTextPath) ||
-            match(i, "--trace-out", o.traceOutPath)) {
-            continue;
-        }
-        if (match(i, "--trace-sample", val)) {
-            const long long n = std::atoll(val.c_str());
-            if (n < 1)
-                ladm_fatal("--trace-sample expects an integer >= 1");
-            o.traceSampleEvery = static_cast<uint32_t>(n);
-            continue;
-        }
-        if (match(i, "--trace-max-events", val)) {
-            const long long n = std::atoll(val.c_str());
-            if (n < 1)
-                ladm_fatal("--trace-max-events expects an integer >= 1");
-            o.traceMaxEvents = static_cast<uint64_t>(n);
-            continue;
-        }
-        if (match(i, "--timeline-out", o.timelineOutPath) ||
-            match(i, "--timeline-paths", o.timelinePaths)) {
-            continue;
-        }
-        if (match(i, "--timeline-window", val)) {
-            const long long n = std::atoll(val.c_str());
-            if (n < 1)
-                ladm_fatal("--timeline-window expects an integer >= 1");
-            o.timelineWindowCycles = static_cast<uint64_t>(n);
-            continue;
-        }
-        if (match(i, "--timeline-max-windows", val)) {
-            const long long n = std::atoll(val.c_str());
-            if (n < 2)
-                ladm_fatal("--timeline-max-windows expects an integer >= 2");
-            o.timelineMaxWindows = static_cast<uint32_t>(n);
-            continue;
-        }
-        if (match(i, "--obs-hot-pages", val)) {
-            const long long n = std::atoll(val.c_str());
-            if (n < 1)
-                ladm_fatal("--obs-hot-pages expects an integer >= 1");
-            o.obsHotPages = static_cast<uint32_t>(n);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--obs-attribution") == 0) {
-            o.obsAttribution = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--obs-heatmap") == 0) {
-            o.obsHeatmap = true;
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    argv[argc] = nullptr;
+    o.statsJsonPath = opt::str(opt::kStatsJson);
+    o.statsCsvPath = opt::str(opt::kStatsCsv);
+    o.statsTextPath = opt::str(opt::kStatsText);
+    o.traceOutPath = opt::str(opt::kTraceOut);
+    o.traceSampleEvery = static_cast<uint32_t>(
+        opt::whole(opt::kTraceSample, o.traceSampleEvery));
+    o.traceMaxEvents = opt::whole(opt::kTraceMaxEvents, o.traceMaxEvents);
+    o.timelineOutPath = opt::str(opt::kTimelineOut);
+    o.timelineWindowCycles =
+        opt::whole(opt::kTimelineWindow, o.timelineWindowCycles);
+    o.timelineMaxWindows = static_cast<uint32_t>(
+        opt::whole(opt::kTimelineMaxWindows, o.timelineMaxWindows));
+    o.timelinePaths = opt::str(opt::kTimelinePaths);
+    o.obsAttribution = opt::on(opt::kObsAttribution);
+    o.obsHeatmap = opt::on(opt::kObsHeatmap);
+    o.obsHotPages =
+        static_cast<uint32_t>(opt::whole(opt::kObsHotPages, o.obsHotPages));
     return o;
 }
 
 int
 SystemConfig::resolvedShards() const
 {
-    uint64_t n = shards > 0 ? static_cast<uint64_t>(shards) : 0;
-    if (shards == 0)
-        envU64("LADM_SHARDS", n);
+    const uint64_t n = shards > 0 ? static_cast<uint64_t>(shards)
+                                  : opt::whole(opt::kShards, 1);
     if (n < 1)
         return 1;
     const uint64_t cap = static_cast<uint64_t>(numNodes());

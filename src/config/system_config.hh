@@ -23,41 +23,11 @@ namespace ladm
 {
 
 /**
- * Which telemetry sinks a run writes, selected on the command line or via
- * environment variables (flag wins over env):
- *
- *   --stats-json PATH   / LADM_STATS_JSON    versioned JSON stats document
- *   --stats-csv PATH    / LADM_STATS_CSV     flat path,kind,value rows
- *   --stats-text PATH   / LADM_STATS_TEXT    pretty tree ("-" = stdout)
- *   --trace-out PATH    / LADM_TRACE_OUT     Chrome trace-event JSON
- *   --trace-sample N    / LADM_TRACE_SAMPLE  1-in-N thinning of high-rate
- *                                            trace categories (default 64)
- *   --trace-max-events N / LADM_TRACE_MAX_EVENTS  hard event cap
- *
- * Observability (time-resolved) sinks, see docs/observability.md:
- *
- *   --timeline-out PATH / LADM_TIMELINE_OUT  cycle-windowed timeline +
- *                                            latency/heatmap JSON (a CSV
- *                                            of the windows is written
- *                                            alongside)
- *   --timeline-window N / LADM_TIMELINE_WINDOW  window width in cycles
- *                                            (default 10000)
- *   --timeline-max-windows N / LADM_TIMELINE_MAX_WINDOWS  memory cap:
- *                                            adjacent windows merge and
- *                                            the width doubles past this
- *                                            many windows (default 512)
- *   --timeline-paths A,B / LADM_TIMELINE_PATHS  registry paths to sample
- *                                            (default: curated core set)
- *   --obs-attribution   / LADM_OBS_ATTRIBUTION=1  per-access latency
- *                                            component attribution
- *   --obs-heatmap       / LADM_OBS_HEATMAP=1 requester x home traffic
- *                                            matrix, per-datablock and
- *                                            hot-page tables
- *   --obs-hot-pages K   / LADM_OBS_HOT_PAGES top-K hot-page table size
- *                                            (default 20)
- *
- * With no sink selected every hook in the simulator reduces to an inline
- * predicate, so tier-1 runtime is unaffected.
+ * Which telemetry sinks a run writes. Each field has a flag and an LADM_*
+ * variable in the shared option table (config/options.hh, listed in
+ * README.md); docs/observability.md describes the sinks. With no sink
+ * selected every hook in the simulator reduces to an inline predicate,
+ * so tier-1 runtime is unaffected.
  */
 struct TelemetryOptions
 {
@@ -97,15 +67,8 @@ struct TelemetryOptions
         return anyStatsSink() || traceEnabled() || obsActive();
     }
 
-    /** Defaults overridden by any LADM_* telemetry variables set. */
-    static TelemetryOptions fromEnv();
-
-    /**
-     * fromEnv() plus command-line overrides. Recognized flags (both
-     * "--flag value" and "--flag=value" forms) are stripped from argv so
-     * the caller's own argument handling never sees them.
-     */
-    static TelemetryOptions parseArgs(int &argc, char **argv);
+    /** The telemetry options as given by flag or LADM_* variable. */
+    static TelemetryOptions resolve();
 };
 
 /** Interconnect topology joining the NUMA nodes. */
@@ -150,7 +113,7 @@ struct SystemConfig
      * engine partitions warps by NUMA node across this many worker
      * threads synchronized on conservative time windows whose width is
      * the minimum cross-node link latency (the lookahead). 0 resolves
-     * from the LADM_SHARDS environment variable (default 1); 1 is the
+     * from --shards / LADM_SHARDS (default 1); 1 is the
      * bit-exact single-thread reference; values above numNodes() clamp.
      * Sharding falls back to the serial loop when the run needs
      * serial-only machinery (tracing, obs attribution/heatmap, fault
@@ -271,7 +234,7 @@ struct SystemConfig
     /** Convert a GB/s figure to bytes per core cycle. */
     double bytesPerCycle(double gbs) const { return gbs / clockGhz; }
 
-    /** shards, with 0 resolved from LADM_SHARDS (default 1). */
+    /** shards, with 0 resolved from --shards / LADM_SHARDS (default 1). */
     int resolvedShards() const;
 
     /**

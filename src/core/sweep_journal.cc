@@ -1,11 +1,11 @@
 #include "core/sweep_journal.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "config/options.hh"
 #include "snapshot/snapshot.hh"
 
 namespace ladm
@@ -126,9 +126,8 @@ sweepJournal()
 {
     if (!g_journal && !g_envChecked) {
         g_envChecked = true;
-        if (const char *p = std::getenv("LADM_SWEEP_JOURNAL"))
-            if (*p)
-                g_journal = std::make_unique<SweepJournal>(p);
+        if (const std::string p = opt::str(opt::kResumeSweep); !p.empty())
+            g_journal = std::make_unique<SweepJournal>(p);
     }
     return g_journal.get();
 }

@@ -22,8 +22,8 @@
  * log header carries kModelVersion, so a journal from another model
  * replays nothing.
  *
- * Activation: --resume-sweep[=path] (stripped by bench::parseJobsFlag)
- * or LADM_SWEEP_JOURNAL=path. Default path "ladm.sweep.jnl".
+ * Activation: --resume-sweep[=path] or LADM_SWEEP_JOURNAL=path
+ * (config/options.hh). Default path "ladm.sweep.jnl".
  */
 
 #ifndef LADM_CORE_SWEEP_JOURNAL_HH
@@ -79,8 +79,8 @@ class SweepJournal
 
 /**
  * The process-wide journal, or null when resumable sweeps are off.
- * Armed by setSweepJournalPath() (from --resume-sweep) or, lazily, by
- * the LADM_SWEEP_JOURNAL environment variable.
+ * Armed by setSweepJournalPath() or, lazily, by --resume-sweep /
+ * LADM_SWEEP_JOURNAL (config/options.hh).
  */
 SweepJournal *sweepJournal();
 

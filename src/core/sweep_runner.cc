@@ -1,15 +1,12 @@
 #include "core/sweep_runner.hh"
 
 #include <atomic>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/sim_error.hh"
+#include "config/options.hh"
 #include "core/experiment.hh"
 #include "core/sweep_journal.hh"
 #include "telemetry/session.hh"
@@ -29,22 +26,16 @@ struct SweepRunner::Slot
 int
 SweepRunner::resolveJobs(int requested)
 {
-    int jobs = requested;
-    if (jobs <= 0) {
-        const char *s = std::getenv("LADM_BENCH_JOBS");
-        if (s && *s)
-            jobs = static_cast<int>(parsePositive("LADM_BENCH_JOBS", s,
-                                                  /*whole=*/true));
-    }
+    int jobs = requested > 0
+                   ? requested
+                   : static_cast<int>(opt::whole(opt::kJobs, 0));
     if (jobs <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         jobs = hw ? static_cast<int>(hw) : 1;
     }
 
-    const char *trace_env = std::getenv("LADM_TRACE_OUT");
-    const bool tracing =
-        telemetry::session().options().traceEnabled() ||
-        (trace_env && *trace_env);
+    const bool tracing = telemetry::session().options().traceEnabled() ||
+                         !opt::str(opt::kTraceOut).empty();
     if (tracing && jobs > 1) {
         ladm_inform("sweep: tracing is enabled; the trace emitter is "
                     "single-writer, forcing jobs=1 (requested ",
@@ -174,27 +165,6 @@ runSweep(const std::vector<SweepCell> &cells, int jobs, bool keep_going)
         }
     }
     return out;
-}
-
-double
-parsePositive(const std::string &source, const std::string &text,
-              bool whole)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    const bool ok = !text.empty() && *end == '\0' && std::isfinite(v) &&
-                    v > 0.0 &&
-                    (!whole || (v == std::floor(v) && v <= INT_MAX));
-    if (!ok) {
-        const char *want =
-            whole ? "must be a whole number > 0" : "must be a number > 0";
-        throw SimError(SimError::Kind::Config,
-                       source + " " + want + ", got '" + text + "'",
-                       {{source, text, want,
-                         "give a positive value, or drop it",
-                         ErrCode::BadConfig}});
-    }
-    return v;
 }
 
 } // namespace core

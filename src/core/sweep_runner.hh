@@ -58,13 +58,13 @@ class SweepRunner
     struct Options
     {
         /**
-         * Worker count; <= 0 resolves via LADM_BENCH_JOBS, then
+         * Worker count; <= 0 resolves via --jobs / LADM_BENCH_JOBS, then
          * hardware concurrency. Tracing always forces 1.
          */
         int jobs = 0;
     };
 
-    /** Default options: resolve jobs from the environment. */
+    /** Default options: resolve jobs from the option table. */
     SweepRunner();
     explicit SweepRunner(Options opts);
     ~SweepRunner();
@@ -103,9 +103,9 @@ class SweepRunner
 
     /**
      * Apply the knob hierarchy: explicit @p requested if > 0, else
-     * LADM_BENCH_JOBS, else std::thread::hardware_concurrency(). A
-     * LADM_BENCH_JOBS that is not a whole number > 0 raises SimError.
-     * Tracing (an armed telemetry session or LADM_TRACE_OUT) forces the
+     * --jobs / LADM_BENCH_JOBS, else std::thread::hardware_concurrency().
+     * A value that is not a whole number > 0 raises SimError. Tracing
+     * (an armed telemetry session or --trace-out / LADM_TRACE_OUT) forces the
      * result to 1 with a logged notice, keeping the global trace
      * emitter single-writer.
      */
@@ -136,14 +136,6 @@ class SweepRunner
  */
 std::vector<RunMetrics> runSweep(const std::vector<SweepCell> &cells,
                                  int jobs = 0, bool keep_going = false);
-
-/**
- * @p text as a finite number > 0, and a whole one when @p whole; any
- * other text raises SimError(Config) naming @p source, the flag or
- * environment variable it came from.
- */
-double parsePositive(const std::string &source, const std::string &text,
-                     bool whole = false);
 
 } // namespace core
 } // namespace ladm

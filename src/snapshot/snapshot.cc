@@ -2,13 +2,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
+#include "check/invariants.hh"
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
+#include "config/options.hh"
 #include "config/system_config.hh"
 
 namespace ladm
@@ -27,28 +27,8 @@ stopHandler(int)
     g_stop = 1;
 }
 
-Cycles
-envCycles(const char *name)
-{
-    if (const char *v = std::getenv(name))
-        return static_cast<Cycles>(std::strtoull(v, nullptr, 10));
-    return 0;
-}
-
-Options
-optionsFromEnv()
-{
-    Options o;
-    o.every = envCycles("LADM_CHECKPOINT_EVERY");
-    if (const char *v = std::getenv("LADM_CHECKPOINT_OUT"))
-        if (*v)
-            o.out = v;
-    if (const char *v = std::getenv("LADM_RESUME"))
-        o.resume = v;
-    return o;
-}
-
-Options g_options = optionsFromEnv();
+Options g_options;
+bool g_loaded = false; // g_options read from the option table yet?
 bool g_handlersInstalled = false;
 
 // Run-sequencing state: each runExperiment call takes the next sequence
@@ -98,6 +78,16 @@ configFingerprint(const SystemConfig &c)
 Options &
 options()
 {
+    if (!g_loaded) {
+        g_loaded = true;
+        g_options.every = opt::whole(opt::kCheckpointEvery, 0);
+        if (const std::string out = opt::str(opt::kCheckpointOut);
+            !out.empty())
+            g_options.out = out;
+        g_options.resume = opt::str(opt::kResume);
+        if (g_options.active())
+            installSignalHandlers();
+    }
     return g_options;
 }
 
@@ -134,6 +124,7 @@ resetForTest()
 {
     std::lock_guard<std::mutex> lk(g_mu);
     g_options = Options{};
+    g_loaded = false;
     g_runSeq = 0;
     g_busy = false;
     g_busyWarned = false;
@@ -142,64 +133,17 @@ resetForTest()
     g_stop = 0;
 }
 
-void
-parseArgs(int &argc, char **argv)
-{
-    Options &o = g_options;
-    int w = 1;
-    auto value = [&](int &i, const char *flag,
-                     std::string &out) -> bool {
-        const size_t len = std::strlen(flag);
-        if (std::strncmp(argv[i], flag, len) != 0)
-            return false;
-        if (argv[i][len] == '=') {
-            out = argv[i] + len + 1;
-            return true;
-        }
-        if (argv[i][len] == '\0' && i + 1 < argc) {
-            out = argv[++i];
-            return true;
-        }
-        return false;
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string v;
-        if (value(i, "--checkpoint-every", v)) {
-            o.every = static_cast<Cycles>(
-                std::strtoull(v.c_str(), nullptr, 10));
-            continue;
-        }
-        if (value(i, "--checkpoint-out", v)) {
-            o.out = v;
-            continue;
-        }
-        if (value(i, "--resume", v)) {
-            o.resume = v;
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    argv[argc] = nullptr;
-    if (o.active())
-        installSignalHandlers();
-}
-
 int
 runMain(const std::function<int()> &body)
 {
-    try {
-        return body();
-    } catch (const Interrupted &e) {
-        std::fprintf(stderr, "ladm: %s\n", e.what());
-        return kExitCheckpointed;
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "%s", e.report().c_str());
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    return check::runMain([&] {
+        try {
+            return body();
+        } catch (const Interrupted &e) {
+            std::fprintf(stderr, "ladm: %s\n", e.what());
+            return kExitCheckpointed;
+        }
+    });
 }
 
 void
@@ -287,7 +231,7 @@ std::unique_ptr<Checkpointer>
 makeRunCheckpointer(const SystemConfig &cfg)
 {
     std::lock_guard<std::mutex> lk(g_mu);
-    const Options &o = g_options;
+    const Options &o = options();
     if (!o.active())
         return nullptr;
     if (g_busy) {

@@ -97,7 +97,7 @@ class Interrupted : public std::exception
  */
 uint64_t configFingerprint(const SystemConfig &cfg);
 
-/** Global activation state (command line / environment / tests). */
+/** Global activation state (option table / tests). */
 struct Options
 {
     Cycles every = 0;      ///< checkpoint period in cycles; 0 = off
@@ -113,6 +113,11 @@ struct Options
                                  testStopAt > 0; }
 };
 
+/**
+ * The activation state, read from --checkpoint-every, --checkpoint-out
+ * and --resume (config/options.hh) on first use, which also installs the
+ * SIGINT/SIGTERM handlers when checkpointing is armed.
+ */
 Options &options();
 
 /** True once a stop signal (or requestStop()) arrived. */
@@ -120,14 +125,6 @@ bool stopRequested();
 /** What the SIGINT/SIGTERM handler does; callable from code/tests. */
 void requestStop();
 void clearStopRequest();
-
-/**
- * Strip --checkpoint-every / --checkpoint-out / --resume (value and
- * "=value" forms) from argv into options(), mirroring
- * TelemetryOptions::parseArgs. Installs the SIGINT/SIGTERM handlers
- * when checkpointing ends up armed.
- */
-void parseArgs(int &argc, char **argv);
 
 /** Install the stop-flag signal handlers (idempotent). */
 void installSignalHandlers();

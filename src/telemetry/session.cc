@@ -1,11 +1,11 @@
 #include "telemetry/session.hh"
 
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
+#include "config/options.hh"
 #include "telemetry/exporters.hh"
 #include "telemetry/json_writer.hh"
 
@@ -220,7 +220,7 @@ Session::finalize()
                       opts_.traceSampleEvery, ")");
         }
     }
-    if (std::getenv("LADM_PROFILE") && !profiler_.empty())
+    if (opt::on(opt::kProfile) && !profiler_.empty())
         profiler_.report(std::cerr);
 }
 

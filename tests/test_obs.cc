@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
 #include "obs/attribution.hh"
@@ -576,8 +577,9 @@ TEST(ObsOptions, ParseArgsStripsObservabilityFlags)
              "--timeline-window=500", "--timeline-max-windows", "16",
              "--timeline-paths=mem.fetch_local,engine.warp_steps",
              "--obs-attribution", "--obs-heatmap", "--obs-hot-pages=7"});
-    const TelemetryOptions opts =
-        TelemetryOptions::parseArgs(av.argc, av.ptrs.data());
+    opt::parse(av.argc, av.ptrs.data(), opt::Telemetry);
+    const TelemetryOptions opts = TelemetryOptions::resolve();
+    opt::resetForTest();
 
     EXPECT_EQ(opts.timelineOutPath, "tl.json");
     EXPECT_EQ(opts.timelineWindowCycles, 500u);

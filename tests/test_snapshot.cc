@@ -27,6 +27,7 @@
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/sim_error.hh"
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
 #include "core/sweep_journal.hh"
@@ -101,6 +102,7 @@ class SnapshotTest : public ::testing::Test
     void
     TearDown() override
     {
+        opt::resetForTest();
         snapshot::resetForTest();
         telemetry::session().resetForTest();
     }
@@ -362,15 +364,15 @@ TEST_F(SnapshotTest, ParseArgsStripsFlags)
 {
     const char *raw[] = {"prog", "--checkpoint-every", "5000",
                          "--checkpoint-out=a.ckpt", "--resume", "b.ckpt",
-                         "--keep-me", nullptr};
+                         "keep-me", nullptr};
     char *argv[8];
     for (int i = 0; i < 7; ++i)
         argv[i] = const_cast<char *>(raw[i]);
     argv[7] = nullptr;
     int argc = 7;
-    snapshot::parseArgs(argc, argv);
+    opt::parse(argc, argv, opt::Checkpoint);
     EXPECT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "--keep-me");
+    EXPECT_STREQ(argv[1], "keep-me");
     EXPECT_EQ(snapshot::options().every, 5000u);
     EXPECT_EQ(snapshot::options().out, "a.ckpt");
     EXPECT_EQ(snapshot::options().resume, "b.ckpt");

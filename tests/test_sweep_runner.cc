@@ -12,9 +12,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 #include <thread>
 
 #include "common/sim_error.hh"
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/sweep_runner.hh"
 #include "telemetry/session.hh"
@@ -150,23 +153,49 @@ TEST(SweepRunner, ExplicitJobsBeatsEnvironment)
 
 TEST(SweepRunner, BadNumbersAreConfigErrorsNamingTheirSource)
 {
-    EXPECT_EQ(core::parsePositive("--jobs", "4", /*whole=*/true), 4.0);
-    EXPECT_EQ(core::parsePositive("LADM_BENCH_SCALE", "0.25"), 0.25);
+    // Through the option table: flag text first, then the variable.
+    auto parsed = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "bench");
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        int argc = static_cast<int>(args.size());
+        opt::parse(argc, argv.data(), opt::Sweep | opt::Bench);
+    };
+    parsed({"--jobs", "4"});
+    EXPECT_EQ(core::SweepRunner::resolveJobs(0), 4);
+    opt::resetForTest();
+    setenv("LADM_BENCH_SCALE", "0.25", 1);
+    EXPECT_EQ(opt::number(opt::kBenchScale, 1.0), 0.25);
     for (const char *bad : {"abc", "", "0", "-1", "2x", "inf", "nan"}) {
         SCOPED_TRACE(bad);
+        // An empty variable counts as unset; the flag form rejects "".
+        if (*bad) {
+            setenv("LADM_BENCH_SCALE", bad, 1);
+            try {
+                opt::number(opt::kBenchScale, 1.0);
+                ADD_FAILURE() << "expected SimError";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.kind(), SimError::Kind::Config);
+                EXPECT_NE(std::string(e.what()).find("LADM_BENCH_SCALE"),
+                          std::string::npos);
+            }
+        }
         try {
-            core::parsePositive("LADM_BENCH_SCALE", bad);
+            parsed({std::string("--bench-scale=") + bad});
             ADD_FAILURE() << "expected SimError";
         } catch (const SimError &e) {
             EXPECT_EQ(e.kind(), SimError::Kind::Config);
-            EXPECT_NE(std::string(e.what()).find("LADM_BENCH_SCALE"),
+            EXPECT_NE(std::string(e.what()).find("--bench-scale"),
                       std::string::npos);
         }
     }
-    EXPECT_THROW(core::parsePositive("--jobs", "2.5", /*whole=*/true),
-                 SimError);
-    EXPECT_THROW(core::parsePositive("--jobs", "1e12", /*whole=*/true),
-                 SimError);
+    unsetenv("LADM_BENCH_SCALE");
+    EXPECT_THROW(parsed({"--jobs", "2.5"}), SimError);
+    EXPECT_THROW(parsed({"--jobs", "1e12"}), SimError);
+    EXPECT_THROW(parsed({"--jobs", "1000000000000"}), SimError);
+    opt::resetForTest();
 
     setenv("LADM_BENCH_JOBS", "x", 1);
     try {

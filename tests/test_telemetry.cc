@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "config/options.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
 #include "sched/kernel_wide.hh"
@@ -375,8 +376,9 @@ TEST(TelemetryOptions, ParseArgsStripsRecognizedFlags)
              "--trace-out=t.json", "--trace-sample", "8",
              "--trace-max-events=500", "--stats-csv", "s.csv",
              "--stats-text=-"});
-    const TelemetryOptions opts =
-        TelemetryOptions::parseArgs(av.argc, av.ptrs.data());
+    opt::parse(av.argc, av.ptrs.data(), opt::Telemetry);
+    const TelemetryOptions opts = TelemetryOptions::resolve();
+    opt::resetForTest();
 
     EXPECT_EQ(opts.statsJsonPath, "out.json");
     EXPECT_EQ(opts.statsCsvPath, "s.csv");
@@ -397,8 +399,9 @@ TEST(TelemetryOptions, ParseArgsStripsRecognizedFlags)
 TEST(TelemetryOptions, DefaultsAreInert)
 {
     Argv av({"tool", "positional"});
-    const TelemetryOptions opts =
-        TelemetryOptions::parseArgs(av.argc, av.ptrs.data());
+    opt::parse(av.argc, av.ptrs.data(), opt::Telemetry);
+    const TelemetryOptions opts = TelemetryOptions::resolve();
+    opt::resetForTest();
     EXPECT_FALSE(opts.anySink());
     EXPECT_EQ(av.argc, 2);
     EXPECT_EQ(opts.traceSampleEvery, 64u);

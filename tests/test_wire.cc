@@ -23,6 +23,7 @@
 
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "mutate.hh"
 #include "serve/cache.hh"
 #include "serve/decision.hh"
 #include "serve/wire.hh"
@@ -378,19 +379,6 @@ feed(const std::string &bytes, const std::vector<size_t> &cuts)
     return payloads;
 }
 
-/** Up to @p max sorted distinct cut points strictly inside [0, n). */
-std::vector<size_t>
-randomCuts(Rng &rng, size_t n, int max)
-{
-    std::vector<size_t> cuts;
-    const int k = n > 1 ? static_cast<int>(rng.nextBounded(max + 1)) : 0;
-    for (int i = 0; i < k; ++i)
-        cuts.push_back(1 + rng.nextBounded(n - 1));
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    return cuts;
-}
-
 /** Rewrite a frame image's CRC so a payload mutation reaches decode. */
 void
 fixCrc(std::string &frame)
@@ -423,7 +411,8 @@ TEST(FrameFuzz, SeededMutantsNeverCrashOrOverAllocate)
         // Random splits of valid frames come back exactly.
         for (int i = 0; i < 64; ++i) {
             const std::string two = valid + valid;
-            const auto got = feed(two, randomCuts(rng, two.size(), 6));
+            const auto got =
+                feed(two, mutate::randomCuts(rng, two.size(), 6));
             ASSERT_EQ(got.size(), 2u);
             EXPECT_EQ(got[0], payload);
             EXPECT_EQ(got[1], payload);
@@ -433,16 +422,11 @@ TEST(FrameFuzz, SeededMutantsNeverCrashOrOverAllocate)
             std::string m = valid;
             switch (rng.nextBounded(5)) {
             case 0: // bit flips anywhere, CRC left stale
-                for (uint64_t k = 1 + rng.nextBounded(3); k > 0; --k)
-                    m[rng.nextBounded(m.size())] ^=
-                        static_cast<char>(1u << rng.nextBounded(8));
+                mutate::flipBits(rng, m, 0, 3);
                 break;
             case 1: // bit flips in the payload, CRC fixed up
                 if (m.size() > kFrameHeaderBytes) {
-                    for (uint64_t k = 1 + rng.nextBounded(4); k > 0; --k)
-                        m[kFrameHeaderBytes +
-                          rng.nextBounded(m.size() - kFrameHeaderBytes)] ^=
-                            static_cast<char>(1u << rng.nextBounded(8));
+                    mutate::flipBits(rng, m, kFrameHeaderBytes, 4);
                     fixCrc(m);
                 }
                 break;
@@ -458,7 +442,7 @@ TEST(FrameFuzz, SeededMutantsNeverCrashOrOverAllocate)
                 }
                 break;
             case 3: // truncation
-                m.resize(rng.nextBounded(m.size()));
+                mutate::truncate(rng, m);
                 break;
             default: { // the frame length field
                 const uint32_t v = rng.nextBounded(2)
@@ -469,7 +453,7 @@ TEST(FrameFuzz, SeededMutantsNeverCrashOrOverAllocate)
                 break;
             }
             }
-            feed(m, randomCuts(rng, m.size(), 4));
+            feed(m, mutate::randomCuts(rng, m.size(), 4));
             if (HasFailure())
                 FAIL() << "mutant " << i << " of seed type "
                        << static_cast<int>(type);

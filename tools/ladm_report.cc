@@ -16,13 +16,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/invariants.hh"
+#include "config/options.hh"
 #include "telemetry/json_reader.hh"
 
 namespace
@@ -288,42 +289,34 @@ renderFile(std::ostream &os, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> inputs;
-    std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "-h") == 0 ||
-                   std::strcmp(argv[i], "--help") == 0) {
-            std::cout << "usage: ladm-report <run.json> [more.json ...] "
-                         "[-o report.md]\n"
-                         "Renders ladm-timeline-v1 / ladm-stats-v1 JSON "
-                         "sinks as markdown.\n";
-            return 0;
-        } else {
-            inputs.push_back(argv[i]);
-        }
-    }
-    if (inputs.empty()) {
-        std::cerr << "usage: ladm-report <run.json> [more.json ...] "
-                     "[-o report.md]\n";
-        return 1;
-    }
-
-    std::ofstream of;
-    std::ostream *os = &std::cout;
-    if (!out_path.empty() && out_path != "-") {
-        of.open(out_path);
-        if (!of) {
-            std::cerr << "ladm-report: cannot write '" << out_path
-                      << "'\n";
+    return ladm::check::runMain([&] {
+        const char *usage = "<run.json> [more.json ...] [-o report.md]";
+        std::string out_path;
+        ladm::opt::parse(argc, argv, 0,
+                         {ladm::opt::local("-o", &out_path,
+                                           "write the markdown here (default "
+                                           "'-' = stdout)")},
+                         usage);
+        if (argc < 2) {
+            std::cerr << "usage: ladm-report " << usage << "\n";
             return 1;
         }
-        os = &of;
-    }
 
-    int rc = 0;
-    for (const std::string &in : inputs)
-        rc |= renderFile(*os, in);
-    return rc;
+        std::ofstream of;
+        std::ostream *os = &std::cout;
+        if (!out_path.empty() && out_path != "-") {
+            of.open(out_path);
+            if (!of) {
+                std::cerr << "ladm-report: cannot write '" << out_path
+                          << "'\n";
+                return 1;
+            }
+            os = &of;
+        }
+
+        int rc = 0;
+        for (int i = 1; i < argc; ++i)
+            rc |= renderFile(*os, argv[i]);
+        return rc;
+    });
 }

@@ -7,40 +7,19 @@
  * purpose, state is durable, restart me" contract the checkpointed
  * simulator binaries use, so one wrapper script supervises both.
  *
- * Usage:
- *   ladm-served [--listen unix:/path|tcp:host:port]
- *               [--topology multi-gpu-4x4|monolithic-256|dgx-4]
- *               [--workers N] [--queue N] [--deadline-us N]
- *               [--budget-us N] [--retry-after-ms N] [--max-conns N]
- *               [--journal path] [--serve-faults spec]
+ * Flags: `ladm-served --help` lists them (listen address, topology,
+ * worker pool, queue bound, deadline and budget, journal, serve faults).
  *
  * The resolved address is printed as "listening <address>" on stdout
  * (meaningful for tcp port 0) before the daemon blocks.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "config/options.hh"
 #include "serve/server.hh"
 #include "snapshot/snapshot.hh"
-
-namespace
-{
-
-void
-usage()
-{
-    std::cerr
-        << "usage: ladm-served [--listen ADDR] [--topology NAME]\n"
-           "                   [--workers N] [--queue N]\n"
-           "                   [--deadline-us N] [--budget-us N]\n"
-           "                   [--retry-after-ms N] [--max-conns N]\n"
-           "                   [--journal PATH] [--serve-faults SPEC]\n";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -48,52 +27,32 @@ main(int argc, char **argv)
     using namespace ladm;
 
     serve::ServerOptions opts;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto val = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "ladm-served: " << a
-                          << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--listen")
-            opts.listen = val();
-        else if (a == "--topology")
-            opts.topology = val();
-        else if (a == "--workers")
-            opts.workers = std::atoi(val().c_str());
-        else if (a == "--queue")
-            opts.queueCapacity =
-                static_cast<size_t>(std::atol(val().c_str()));
-        else if (a == "--deadline-us")
-            opts.defaultDeadlineUs =
-                static_cast<uint32_t>(std::atol(val().c_str()));
-        else if (a == "--budget-us")
-            opts.classifierBudgetUs =
-                static_cast<uint32_t>(std::atol(val().c_str()));
-        else if (a == "--retry-after-ms")
-            opts.retryAfterMs =
-                static_cast<uint32_t>(std::atol(val().c_str()));
-        else if (a == "--max-conns")
-            opts.maxConnections = std::atoi(val().c_str());
-        else if (a == "--journal")
-            opts.journalPath = val();
-        else if (a == "--serve-faults")
-            opts.faultSpec = val();
-        else if (a == "-h" || a == "--help") {
-            usage();
-            return 0;
-        } else {
-            std::cerr << "ladm-served: unknown flag " << a << "\n";
-            usage();
-            return 2;
-        }
-    }
-
     return snapshot::runMain([&] {
+        opt::parse(
+            argc, argv, 0,
+            {opt::local("--listen", &opts.listen,
+                        "unix:/path or tcp:host:port (default "
+                        "unix:ladm-serve.sock)"),
+             opt::local("--topology", &opts.topology,
+                        "preset for requests naming none (default "
+                        "multi-gpu-4x4)"),
+             opt::local("--workers", &opts.workers,
+                        "classifier worker threads (default 4)"),
+             opt::local("--queue", &opts.queueCapacity,
+                        "admission queue bound (default 64)"),
+             opt::local("--deadline-us", &opts.defaultDeadlineUs,
+                        "deadline of requests carrying none (default 100000)"),
+             opt::local("--budget-us", &opts.classifierBudgetUs,
+                        "classifier budget before degrading (default 25000)",
+                        0),
+             opt::local("--retry-after-ms", &opts.retryAfterMs,
+                        "retry hint on BUSY replies (default 20)", 0),
+             opt::local("--max-conns", &opts.maxConnections,
+                        "concurrently served connections (default 256)"),
+             opt::local("--journal", &opts.journalPath,
+                        "crash-safe decision journal (default: none)"),
+             opt::local("--serve-faults", &opts.faultSpec,
+                        "serve-side fault injection spec")});
         snapshot::installSignalHandlers();
         serve::Server server(opts);
         server.start();
