@@ -57,6 +57,9 @@ benchMain(int argc, char **argv)
             for (const auto &w : names)
                 cells.push_back(cell(w, p, pt.cfg));
     const std::vector<RunMetrics> results = runGrid(cells, jobs);
+    CsvSink csv("fig04");
+    for (const RunMetrics &m : results)
+        csv.add(m);
 
     std::vector<Cycles> mono_cycles;
     for (size_t i = 0; i < names.size(); ++i)
