@@ -279,7 +279,7 @@ BM_NetworkRouteDelay(benchmark::State &state)
     // multi-gpu-4x4: 16 chiplets, cycling through all 240 ordered
     // remote (src, dst) pairs, one sector each, 8 cycles apart.
     const SystemConfig cfg = presets::multiGpu4x4();
-    const std::unique_ptr<Network> net = makeNetwork(cfg);
+    Network net(cfg);
     std::vector<std::pair<NodeId, NodeId>> pairs;
     for (NodeId s = 0; s < cfg.numNodes(); ++s)
         for (NodeId d = 0; d < cfg.numNodes(); ++d)
@@ -289,7 +289,7 @@ BM_NetworkRouteDelay(benchmark::State &state)
     size_t i = 0;
     for (auto _ : state) {
         const auto [src, dst] = pairs[i];
-        benchmark::DoNotOptimize(net->routeDelay(now, src, dst, kSectorSize));
+        benchmark::DoNotOptimize(net.routeDelay(now, src, dst, kSectorSize));
         if (++i == pairs.size())
             i = 0;
         now += 8;

@@ -87,14 +87,16 @@ class SectoredCache
     /**
      * Look up @p addr (any byte address; the containing 32B sector is
      * accessed). Defined inline below: the L1/L2 lookups dominate the
-     * simulator's per-access cost, so they must inline into the caller.
+     * simulator's per-access cost, so they must inline into the caller
+     * (forced, so no out-of-line copy remains).
      *
      * @param is_write  writes set the sector dirty bit
      * @param allocate  on a miss, whether to insert (false = bypass)
      * @param evict     optional out-param describing a displaced victim
      */
-    AccessResult access(Addr addr, bool is_write, bool allocate,
-                        EvictInfo *evict = nullptr);
+    [[gnu::always_inline]] AccessResult access(Addr addr, bool is_write,
+                                               bool allocate,
+                                               EvictInfo *evict = nullptr);
 
     /** True iff addr's sector is currently present (no LRU update). */
     bool probe(Addr addr) const;

@@ -49,8 +49,10 @@ class BandwidthServer
      *
      * @return the delay this resource contributes: queueing behind
      *         earlier transfers + service time + fixed latency.
+     *         Every fabric hop, DRAM and crossbar access books here, so
+     *         it is forced inline into each caller.
      */
-    Cycles
+    [[gnu::always_inline]] Cycles
     book(Cycles now, Bytes bytes)
     {
         const Cycles start = std::max(now, nextFree_);

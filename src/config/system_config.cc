@@ -42,23 +42,6 @@ SystemConfig::resolvedShards() const
     return static_cast<int>(n < cap ? n : cap);
 }
 
-Cycles
-SystemConfig::minCrossNodeLatencyCycles() const
-{
-    switch (topology) {
-    case Topology::Crossbar:
-        return switchLatencyCycles;
-    case Topology::Ring:
-        return ringHopLatencyCycles;
-    case Topology::Hierarchical:
-        return ringHopLatencyCycles < switchLatencyCycles
-                   ? ringHopLatencyCycles
-                   : switchLatencyCycles;
-    default:
-        return 0; // Monolithic: one node, no cross-node traffic
-    }
-}
-
 std::vector<Diagnostic>
 SystemConfig::validateCollect() const
 {

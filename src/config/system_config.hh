@@ -238,14 +238,6 @@ struct SystemConfig
     int resolvedShards() const;
 
     /**
-     * Conservative-PDES lookahead: the minimum fixed latency any
-     * cross-node transfer pays on this topology. An event issued at
-     * cycle t cannot affect another node before t + lookahead, so
-     * shards may run a window of that width without synchronizing.
-     */
-    Cycles minCrossNodeLatencyCycles() const;
-
-    /**
      * Check every parameter for consistency.
      * @throws SimError(Kind::Config) carrying one Diagnostic (field,
      *         value, constraint, fix hint) per violation -- recoverable,

@@ -66,7 +66,7 @@ KernelEngine::KernelEngine(const SystemConfig &cfg, MemorySystem &mem)
     for (SmId s = 0; s < cfg_.totalSms(); ++s)
         smNode_[s] = cfg_.nodeOfSm(s);
     maxShards_ = cfg_.resolvedShards();
-    lookahead_ = cfg_.minCrossNodeLatencyCycles();
+    lookahead_ = mem_.network().minRouteLatency();
     if (lookahead_ == 0 && maxShards_ > 1) {
         // No cross-node latency = no conservative window.
         maxShards_ = 1;

@@ -18,12 +18,12 @@ MemorySystem::MemorySystem(const SystemConfig &cfg)
     : cfg_(cfg), pageTable_(cfg.pageSize),
       uvm_(cfg.pageFaultCycles,
            cfg.uvmFirstTouchInterleave ? cfg.numNodes() : 1),
-      net_(makeNetwork(cfg)),
       migration_(cfg.migrationThreshold, cfg.migrationLatencyCycles,
-                 cfg.pageSize)
+                 cfg.pageSize),
+      net_(cfg)
 {
     cfg_.validate();
-    chipletFaults_ = net_->faultPlan().anyChipletFaults();
+    chipletFaults_ = net_.faultPlan().anyChipletFaults();
     const int nodes = cfg_.numNodes();
     const int sms = cfg_.totalSms();
     const int channels = std::max(1, cfg_.dramChannelsPerChiplet);
@@ -220,11 +220,11 @@ MemorySystem::translate(Access &a)
     // access -- one page transfer, then business as usual. Without it the
     // access crawls to the dead stack over the maintenance path at
     // kSeveredResidualFactor of DRAM speed, every time.
-    if (chipletFaults_ && net_->faultPlan().nodeFailed(a.now, a.home)) {
+    if (chipletFaults_ && net_.faultPlan().nodeFailed(a.now, a.home)) {
         NodeCounters &ctr = ctr_[a.node];
         if (cfg_.faultDegradation) {
             const NodeId to =
-                net_->faultPlan().fallbackNode(a.now, a.home, cfg_);
+                net_.faultPlan().fallbackNode(a.now, a.home, cfg_);
             // Rescue the WHOLE page: re-home it (which also drops its
             // translation-TLB entry) and invalidate every sector of it
             // still cached on the dead chiplet -- not just the sector
@@ -233,7 +233,7 @@ MemorySystem::translate(Access &a)
             pageTable_.place(a.addr, 1, to); // expands to the whole page
             const Addr page = roundDown(a.addr, cfg_.pageSize);
             l2_[a.home].invalidateRange(page, page + cfg_.pageSize);
-            a.fault += net_->routeDelay(a.now, a.home, to, cfg_.pageSize);
+            a.fault += net_.routeDelay(a.now, a.home, to, cfg_.pageSize);
             ++ctr.rehomedPages;
             a.home = to;
         } else {
@@ -281,7 +281,7 @@ bool
 MemorySystem::issueFetch(Access &a)
 {
     if (cfg_.pageMigration) {
-        a.delay += migration_.onFetch(pageTable_, *net_, a.now, a.addr,
+        a.delay += migration_.onFetch(pageTable_, net_, a.now, a.addr,
                                       a.node, a.home);
     }
     if (host_) {
@@ -316,8 +316,8 @@ void
 MemorySystem::remoteLeg(Access &a)
 {
     NodeCounters &ctr = ctr_[a.node];
-    a.net = net_->routeDelay(a.now, a.node, a.home,
-                             a.write ? kSectorSize : kCtrlBytes);
+    a.net = net_.routeDelay(a.now, a.node, a.home,
+                            a.write ? kSectorSize : kCtrlBytes);
     EvictInfo ev;
     const bool hit =
         l2_[a.home].access(a.addr, a.write,
@@ -331,8 +331,8 @@ MemorySystem::remoteLeg(Access &a)
         ctr.delayDram += a.dram;
         a.delay += a.dram;
     }
-    a.net += net_->routeDelay(a.now, a.home, a.node,
-                              a.write ? kCtrlBytes : kSectorSize);
+    a.net += net_.routeDelay(a.now, a.home, a.node,
+                             a.write ? kCtrlBytes : kSectorSize);
     ctr.delayNet += a.net;
     a.delay += a.net;
 }
@@ -379,7 +379,7 @@ MemorySystem::writeback(Cycles now, NodeId node, NodeId home, Addr line,
                         Bytes bytes)
 {
     if (home != node)
-        net_->routeDelay(now, node, home, bytes);
+        net_.routeDelay(now, node, home, bytes);
     dramFor(home, line).book(now, bytes);
 }
 
@@ -494,7 +494,7 @@ MemorySystem::registerStats(telemetry::StatRegistry &reg,
         counter("host.prefetches", [this] { return hostPrefetches(); });
         counter("host.evictions", [this] { return hostEvictions(); });
     }
-    net_->registerStats(reg, std::move(now));
+    net_.registerStats(reg, std::move(now));
 }
 
 void
@@ -611,7 +611,7 @@ MemorySystem::resetStats()
         x.resetStats();
     for (auto &d : dram_)
         d.resetStats();
-    net_->resetStats();
+    net_.resetStats();
     // Outstanding-miss state belongs to the measurement window: a stale
     // completion time surviving into the next window would satisfy
     // merges with timestamps from the previous one.

@@ -311,7 +311,7 @@ class MemorySystem
         return v;
     }
 
-    const Network &network() const { return *net_; }
+    const Network &network() const { return net_; }
     const SectoredCache &l2(NodeId n) const { return l2_[n]; }
     /** Aggregate DRAM accesses / busy cycles over a node's channels. */
     uint64_t dramAccesses(NodeId n) const;
@@ -470,7 +470,7 @@ class MemorySystem
     std::vector<BandwidthServer> xbar_; // per node SM<->L2 crossbar
     MigrationEngine migration_;
     std::unique_ptr<HostMemory> host_; // oversubscription model (opt.)
-    std::unique_ptr<Network> net_;
+    Network net_;
     L2InsertPolicy policy_ = L2InsertPolicy::RTwice;
     /** Fast-path gate: faultSpec has chiplet failures to police. */
     bool chipletFaults_ = false;

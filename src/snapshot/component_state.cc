@@ -29,10 +29,7 @@
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/stats.hh"
-#include "interconnect/crossbar.hh"
-#include "interconnect/hierarchical.hh"
 #include "interconnect/network.hh"
-#include "interconnect/ring.hh"
 #include "mem/dram.hh"
 #include "mem/migration.hh"
 #include "mem/page_table.hh"
@@ -286,12 +283,6 @@ MigrationEngine::io(Ar &ar)
 
 // --- interconnect ----------------------------------------------------------
 
-/** A topology's virtual io() overloads, one per archive. */
-#define LADM_NETWORK_IO(T)                                                  \
-    void T::io(serial::Writer &ar) { fields(ar); }                          \
-    void T::io(serial::Reader &ar) { fields(ar); }                          \
-    void T::io(serial::Hasher &ar) { fields(ar); }
-
 template <class Ar>
 void
 Link::io(Ar &ar)
@@ -301,49 +292,11 @@ Link::io(Ar &ar)
 
 template <class Ar>
 void
-Network::fields(Ar &ar)
+Network::io(Ar &ar)
 {
     ar(interNodeBytes_, interGpuBytes_, severedCrossings_);
+    ar.fixed(links_, "fabric links");
 }
-LADM_NETWORK_IO(Network)
-
-template <class Ar>
-void
-CrossbarNet::fields(Ar &ar)
-{
-    Network::fields(ar);
-    ar.fixed(egress_, "crossbar egress links");
-    ar.fixed(ingress_, "crossbar ingress links");
-}
-LADM_NETWORK_IO(CrossbarNet)
-
-template <class Ar>
-void
-RingFabric::io(Ar &ar)
-{
-    ar.fixed(cw_, "ring links");
-    ar.fixed(ccw_, "ring links");
-}
-
-template <class Ar>
-void
-RingNet::fields(Ar &ar)
-{
-    Network::fields(ar);
-    ar(ring_);
-}
-LADM_NETWORK_IO(RingNet)
-
-template <class Ar>
-void
-HierarchicalNet::fields(Ar &ar)
-{
-    Network::fields(ar);
-    ar.fixed(rings_, "GPU rings");
-    ar.fixed(gpuEgress_, "GPU egress links");
-    ar.fixed(gpuIngress_, "GPU ingress links");
-}
-LADM_NETWORK_IO(HierarchicalNet)
 
 // --- sim/memory_system.hh ---------------------------------------------------
 
@@ -366,7 +319,7 @@ MemorySystem::io(Ar &ar)
     ar.fixed(dram_, "DRAM channels");
     ar.fixed(xbar_, "crossbars");
     ar(migration_);
-    net_->io(ar);
+    ar(net_);
     ar.choice(policy_, L2InsertPolicy::ROnce);
     ar.fixed(pending_, "MSHR tables");
     ar.fixed(ctr_, "node counters");

@@ -63,15 +63,15 @@ TEST(Migration, TriggersAfterThreshold)
     PageTable pt(4096);
     pt.place(0, 4096, 0);
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
+    Network net(cfg);
     MigrationEngine mig(4, 1000, 4096);
 
     // Three remote fetches from node 5: below threshold.
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(mig.onFetch(pt, *net, 0, 100, 5, 0), 0u);
+        EXPECT_EQ(mig.onFetch(pt, net, 0, 100, 5, 0), 0u);
     EXPECT_EQ(pt.lookup(100), 0);
     // Fourth triggers migration and charges the latency.
-    EXPECT_EQ(mig.onFetch(pt, *net, 0, 100, 5, 0), 1000u);
+    EXPECT_EQ(mig.onFetch(pt, net, 0, 100, 5, 0), 1000u);
     EXPECT_EQ(pt.lookup(100), 5);
     EXPECT_EQ(mig.migrations(), 1u);
 }
@@ -81,13 +81,13 @@ TEST(Migration, StreakResetsOnDifferentRequester)
     PageTable pt(4096);
     pt.place(0, 4096, 0);
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
+    Network net(cfg);
     MigrationEngine mig(3, 1000, 4096);
-    mig.onFetch(pt, *net, 0, 0, 5, 0);
-    mig.onFetch(pt, *net, 0, 0, 5, 0);
-    mig.onFetch(pt, *net, 0, 0, 7, 0); // different node resets
-    mig.onFetch(pt, *net, 0, 0, 5, 0);
-    mig.onFetch(pt, *net, 0, 0, 5, 0);
+    mig.onFetch(pt, net, 0, 0, 5, 0);
+    mig.onFetch(pt, net, 0, 0, 5, 0);
+    mig.onFetch(pt, net, 0, 0, 7, 0); // different node resets
+    mig.onFetch(pt, net, 0, 0, 5, 0);
+    mig.onFetch(pt, net, 0, 0, 5, 0);
     EXPECT_EQ(mig.migrations(), 0u);
     EXPECT_EQ(pt.lookup(0), 0);
 }
@@ -97,9 +97,9 @@ TEST(Migration, LocalAccessesDoNotCount)
     PageTable pt(4096);
     pt.place(0, 4096, 2);
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
+    Network net(cfg);
     MigrationEngine mig(1, 1000, 4096);
-    EXPECT_EQ(mig.onFetch(pt, *net, 0, 0, 2, 2), 0u);
+    EXPECT_EQ(mig.onFetch(pt, net, 0, 0, 2, 2), 0u);
     EXPECT_EQ(mig.migrations(), 0u);
 }
 

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "config/presets.hh"
-#include "interconnect/hierarchical.hh"
+#include "interconnect/network.hh"
 #include "sched/kernel_wide.hh"
 #include "sim/gpu_system.hh"
 
@@ -83,7 +83,7 @@ TEST(GpuSystem, BoundaryFlushForcesRefetch)
 TEST(HierarchicalNet, SwitchBytesCountOnlyGpuCrossings)
 {
     const auto cfg = presets::multiGpu4x4();
-    HierarchicalNet net(cfg);
+    Network net(cfg);
     net.routeDelay(0, 0, 1, 32);  // same GPU: ring only
     EXPECT_EQ(net.switchBytes(), 0u);
     net.routeDelay(0, 0, 5, 32);  // cross GPU

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for bandwidth servers, links, and the three fabric topologies.
+ * Tests for bandwidth servers and the fabric's three topologies.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include "common/bandwidth_server.hh"
 #include "config/presets.hh"
 #include "interconnect/network.hh"
-#include "interconnect/ring.hh"
 
 namespace ladm
 {
@@ -92,10 +91,22 @@ TEST(BandwidthServer, ResetClears)
     EXPECT_EQ(s.transfer(0, 32), 1u + 7);
 }
 
+/** A flat @p n-node ring whose segments carry @p seg_bpc bytes per
+ *  cycle in each direction and take @p hop cycles each. */
+SystemConfig
+ringOf(int n, double seg_bpc, Cycles hop)
+{
+    SystemConfig cfg = presets::mcmRing(n, 1.0);
+    cfg.clockGhz = 1.0;
+    cfg.interChipletRingGBs = 2.0 * seg_bpc; // split over two directions
+    cfg.ringHopLatencyCycles = hop;
+    return cfg;
+}
+
 TEST(RingFabric, ShortestDirection)
 {
     // 8-node ring, generous bandwidth so only hop latency matters.
-    RingFabric ring(8, 1e9, /*hop=*/10, "r");
+    Network ring(ringOf(8, 1e9, /*hop=*/10));
     EXPECT_EQ(ring.routeDelay(0, 0, 0, 32), 0u);
     EXPECT_EQ(ring.routeDelay(0, 0, 1, 32), 10u);
     EXPECT_EQ(ring.routeDelay(0, 0, 4, 32), 40u); // either way: 4 hops
@@ -105,7 +116,7 @@ TEST(RingFabric, ShortestDirection)
 
 TEST(RingFabric, SegmentContention)
 {
-    RingFabric ring(4, 32.0, 0, "r");
+    Network ring(ringOf(4, 32.0, 0));
     // Saturate segment 0->1 with 100 transfers of 320B.
     Cycles last = 0;
     for (int i = 0; i < 100; ++i)
@@ -118,42 +129,42 @@ TEST(RingFabric, SegmentContention)
 TEST(Network, MonolithicNeverRoutes)
 {
     const auto cfg = presets::monolithic256();
-    auto net = makeNetwork(cfg);
-    EXPECT_EQ(net->routeDelay(0, 0, 0, 32), 0u);
-    EXPECT_EQ(net->interNodeBytes(), 0u);
+    Network net(cfg);
+    EXPECT_EQ(net.routeDelay(0, 0, 0, 32), 0u);
+    EXPECT_EQ(net.interNodeBytes(), 0u);
 }
 
 TEST(Network, CrossbarCountsBytes)
 {
     auto cfg = presets::multiGpuFlat(4, 90.0);
-    auto net = makeNetwork(cfg);
-    net->routeDelay(0, 0, 1, 32);
-    net->routeDelay(0, 2, 3, 32);
-    net->routeDelay(0, 1, 1, 999); // local: not counted
-    EXPECT_EQ(net->interNodeBytes(), 64u);
-    EXPECT_EQ(net->interGpuBytes(), 64u); // flat: every node is a GPU
+    Network net(cfg);
+    net.routeDelay(0, 0, 1, 32);
+    net.routeDelay(0, 2, 3, 32);
+    net.routeDelay(0, 1, 1, 999); // local: not counted
+    EXPECT_EQ(net.interNodeBytes(), 64u);
+    EXPECT_EQ(net.interGpuBytes(), 64u); // flat: every node is a GPU
 }
 
 TEST(Network, HierarchicalDistinguishesGpuCrossings)
 {
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
+    Network net(cfg);
     // Nodes 0 and 1 share GPU 0.
-    net->routeDelay(0, 0, 1, 32);
-    EXPECT_EQ(net->interNodeBytes(), 32u);
-    EXPECT_EQ(net->interGpuBytes(), 0u);
+    net.routeDelay(0, 0, 1, 32);
+    EXPECT_EQ(net.interNodeBytes(), 32u);
+    EXPECT_EQ(net.interGpuBytes(), 0u);
     // Nodes 0 and 4 are on different GPUs.
-    net->routeDelay(0, 0, 4, 32);
-    EXPECT_EQ(net->interNodeBytes(), 64u);
-    EXPECT_EQ(net->interGpuBytes(), 32u);
+    net.routeDelay(0, 0, 4, 32);
+    EXPECT_EQ(net.interNodeBytes(), 64u);
+    EXPECT_EQ(net.interGpuBytes(), 32u);
 }
 
 TEST(Network, HierarchicalIntraGpuIsCheaper)
 {
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
-    const Cycles intra = net->routeDelay(0, 0, 1, 32);
-    const Cycles inter = net->routeDelay(0, 0, 5, 32);
+    Network net(cfg);
+    const Cycles intra = net.routeDelay(0, 0, 1, 32);
+    const Cycles inter = net.routeDelay(0, 0, 5, 32);
     EXPECT_LT(intra, inter);
 }
 
@@ -162,12 +173,12 @@ TEST(Network, BandwidthScalingMatters)
     // Fig. 4's premise: more link bandwidth, less queueing delay.
     auto slow_cfg = presets::multiGpuFlat(4, 90.0);
     auto fast_cfg = presets::multiGpuFlat(4, 360.0);
-    auto slow = makeNetwork(slow_cfg);
-    auto fast = makeNetwork(fast_cfg);
+    Network slow(slow_cfg);
+    Network fast(fast_cfg);
     Cycles t_slow = 0, t_fast = 0;
     for (int i = 0; i < 1000; ++i) {
-        t_slow = std::max(t_slow, slow->routeDelay(0, 0, 1, 128));
-        t_fast = std::max(t_fast, fast->routeDelay(0, 0, 1, 128));
+        t_slow = std::max(t_slow, slow.routeDelay(0, 0, 1, 128));
+        t_fast = std::max(t_fast, fast.routeDelay(0, 0, 1, 128));
     }
     EXPECT_GT(t_slow, 3 * t_fast);
 }
@@ -175,11 +186,11 @@ TEST(Network, BandwidthScalingMatters)
 TEST(Network, ResetZeroesCounters)
 {
     const auto cfg = presets::multiGpu4x4();
-    auto net = makeNetwork(cfg);
-    net->routeDelay(0, 0, 9, 32);
-    net->reset();
-    EXPECT_EQ(net->interNodeBytes(), 0u);
-    EXPECT_EQ(net->interGpuBytes(), 0u);
+    Network net(cfg);
+    net.routeDelay(0, 0, 9, 32);
+    net.reset();
+    EXPECT_EQ(net.interNodeBytes(), 0u);
+    EXPECT_EQ(net.interGpuBytes(), 0u);
 }
 
 } // namespace
