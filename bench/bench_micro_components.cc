@@ -168,10 +168,17 @@ BENCHMARK(BM_PageTableLookup);
 void
 BM_BandwidthServerBook(benchmark::State &state)
 {
+    // The fabric's traffic on one link: 8-byte requests and 32-byte
+    // replies interleaved in a seeded random order.
     BandwidthServer s(128.0, 100);
+    Rng rng(9);
+    std::vector<Bytes> sizes(4096);
+    for (Bytes &b : sizes)
+        b = rng.nextBounded(2) ? 8 : kSectorSize;
     Cycles now = 0;
+    size_t i = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(s.book(now++, 32));
+        benchmark::DoNotOptimize(s.book(now++, sizes[i++ & 4095]));
 }
 BENCHMARK(BM_BandwidthServerBook);
 

@@ -6,7 +6,8 @@
  *
  *   steady    a working set of distinct kernels cycled by a few
  *             clients: after one cold pass everything is a cache hit.
- *             Tracked: qps, hit rate, p50/p99 service latency.
+ *             Tracked: qps, hit rate, p50/p99 client round trip and
+ *             p50/p99 server-side service latency.
  *   overload  a tiny server (1 worker, short queue, stalled
  *             classifier) offered ~2x its capacity of all-distinct
  *             requests. The robustness contract under test: the server
@@ -16,9 +17,14 @@
  *             the budget honest).
  *
  * Output: one row per phase and BENCH_serve_qps.json (schema
- * ladm-serve-v1). Absolute qps is machine-dependent and NOT a committed
- * baseline; the gates are the structural assertions above, so the bench
- * is its own CI check (exit 1 on violation).
+ * ladm-serve-v1). rtt_p50us/rtt_p99us time every client place() call
+ * of the phase (to 0.1 us); srv_p50us/srv_p99us are the server's
+ * serve.latency_us histogram in whole us, which covers the server's
+ * lifetime -- with --connect, the daemon's whole history, so those
+ * columns are headed life_p50us/life_p99us there. Absolute qps is
+ * machine-dependent and NOT a committed baseline; the gates are the
+ * structural assertions above, so the bench is its own CI check (exit 1
+ * on violation).
  *
  * Flags (--help lists them): --seconds, --clients, --kernels, and
  * --connect ADDR, which skips the in-process servers and drives an
@@ -28,8 +34,10 @@
  * journal's hit rate with --min-hit-rate.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -94,8 +102,10 @@ struct PhaseResult
     double hitRate = 0.0;
     double shedFraction = 0.0;
     double degradedFraction = 0.0;
-    double p50Us = 0.0;
+    double p50Us = 0.0; ///< server-side, lifetime histogram
     double p99Us = 0.0;
+    double rttP50Us = 0.0; ///< client round trip of every place()
+    double rttP99Us = 0.0;
 
     double qps() const
     {
@@ -117,11 +127,24 @@ wireStats(const std::string &address)
     return m;
 }
 
+/** The @p q quantile of @p ns (nanoseconds), in us; sorts @p ns. */
+double
+quantileUs(std::vector<uint32_t> &ns, double q)
+{
+    if (ns.empty())
+        return 0.0;
+    std::sort(ns.begin(), ns.end());
+    const size_t i = std::min(ns.size() - 1,
+                              static_cast<size_t>(q * ns.size()));
+    return ns[i] / 1000.0;
+}
+
 /**
  * Run @p clients threads against the server at @p address for
  * @p seconds, each cycling its own stride through @p kernels distinct
- * requests. Counter-style stats are deltas across the phase, so an
- * external daemon with history reads the same as a fresh one.
+ * requests and timing each place() round trip. Counter-style stats are
+ * deltas across the phase, so an external daemon with history reads the
+ * same as a fresh one; the server's latency percentiles are not.
  */
 PhaseResult
 runPhase(const char *name, const std::string &address, int clients,
@@ -132,16 +155,26 @@ runPhase(const char *name, const std::string &address, int clients,
     const std::map<std::string, double> before = wireStats(address);
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> completed{0}, busy{0}, errors{0};
+    std::vector<std::vector<uint32_t>> rtt_ns(static_cast<size_t>(clients));
 
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c)
         threads.emplace_back([&, c] {
             serve::Client client(address,
                                  static_cast<uint64_t>(c) + 1);
+            std::vector<uint32_t> &rtt = rtt_ns[static_cast<size_t>(c)];
             int i = c; // stagger the strides so misses interleave
             while (!stop.load(std::memory_order_relaxed)) {
-                const serve::ServeResult r =
-                    client.place(request(i % kernels, deadline_us));
+                const serve::PlacementRequest req =
+                    request(i % kernels, deadline_us);
+                const auto t0 = std::chrono::steady_clock::now();
+                const serve::ServeResult r = client.place(req);
+                const auto ns = std::chrono::duration_cast<
+                                    std::chrono::nanoseconds>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+                rtt.push_back(static_cast<uint32_t>(
+                    std::min<int64_t>(ns, UINT32_MAX)));
                 if (r.ok())
                     ++completed;
                 else if (r.code == ErrCode::Busy ||
@@ -184,17 +217,54 @@ runPhase(const char *name, const std::string &address, int clients,
     }
     res.p50Us = after["serve.latency_us.p50"];
     res.p99Us = after["serve.latency_us.p99"];
+    std::vector<uint32_t> all;
+    for (const std::vector<uint32_t> &v : rtt_ns)
+        all.insert(all.end(), v.begin(), v.end());
+    res.rttP50Us = quantileUs(all, 0.50);
+    res.rttP99Us = quantileUs(all, 0.99);
     return res;
+}
+
+void
+printHeader(bool external)
+{
+    std::printf("%-10s %8s %8s %8s %7s %7s %7s %10s %10s %10s %10s\n",
+                "phase", "qps", "ok", "busy", "hit", "shed", "degr",
+                "rtt_p50us", "rtt_p99us",
+                external ? "life_p50us" : "srv_p50us",
+                external ? "life_p99us" : "srv_p99us");
 }
 
 void
 printPhase(const PhaseResult &r)
 {
-    std::printf("%-10s %8.0f %8llu %8llu %7.3f %7.3f %7.3f %9.0f %9.0f\n",
+    std::printf("%-10s %8.0f %8llu %8llu %7.3f %7.3f %7.3f %10.1f %10.1f "
+                "%10.0f %10.0f\n",
                 r.name.c_str(), r.qps(),
                 static_cast<unsigned long long>(r.completed),
                 static_cast<unsigned long long>(r.busy), r.hitRate,
-                r.shedFraction, r.degradedFraction, r.p50Us, r.p99Us);
+                r.shedFraction, r.degradedFraction, r.rttP50Us, r.rttP99Us,
+                r.p50Us, r.p99Us);
+}
+
+/** One phase object of BENCH_serve_qps.json. */
+void
+writePhase(telemetry::JsonWriter &w, const PhaseResult &r)
+{
+    w.beginObject();
+    w.kv("name", r.name);
+    w.kv("qps", r.qps());
+    w.kv("completed", static_cast<double>(r.completed));
+    w.kv("busy", static_cast<double>(r.busy));
+    w.kv("errors", static_cast<double>(r.errors));
+    w.kv("hit_rate", r.hitRate);
+    w.kv("shed_fraction", r.shedFraction);
+    w.kv("degraded_fraction", r.degradedFraction);
+    w.kv("rtt_p50_us", std::round(r.rttP50Us * 10.0) / 10.0);
+    w.kv("rtt_p99_us", std::round(r.rttP99Us * 10.0) / 10.0);
+    w.kv("p50_us", r.p50Us);
+    w.kv("p99_us", r.p99Us);
+    w.endObject();
 }
 
 int
@@ -219,9 +289,7 @@ benchMain(int argc, char **argv)
                     "with --connect: smallest allowed hit rate")});
 
     std::printf("Placement-advisor service load (src/serve)\n");
-    std::printf("%-10s %8s %8s %8s %7s %7s %7s %9s %9s\n", "phase",
-                "qps", "ok", "busy", "hit", "shed", "degr", "p50us",
-                "p99us");
+    printHeader(!connect.empty());
 
     // --- external mode: drive a daemon someone else started -------------
     if (!connect.empty()) {
@@ -238,20 +306,11 @@ benchMain(int argc, char **argv)
                 w.kv("bench", "serve_qps");
                 w.kv("seconds", seconds);
                 w.kv("connect", connect);
+                // p50_us/p99_us: the daemon's lifetime histogram.
+                w.kv("server_latency", "lifetime");
                 w.key("phases");
                 w.beginArray();
-                w.beginObject();
-                w.kv("name", ext.name);
-                w.kv("qps", ext.qps());
-                w.kv("completed", static_cast<double>(ext.completed));
-                w.kv("busy", static_cast<double>(ext.busy));
-                w.kv("errors", static_cast<double>(ext.errors));
-                w.kv("hit_rate", ext.hitRate);
-                w.kv("shed_fraction", ext.shedFraction);
-                w.kv("degraded_fraction", ext.degradedFraction);
-                w.kv("p50_us", ext.p50Us);
-                w.kv("p99_us", ext.p99Us);
-                w.endObject();
+                writePhase(w, ext);
                 w.endArray();
                 w.endObject();
                 os << '\n';
@@ -328,22 +387,11 @@ benchMain(int argc, char **argv)
             w.kv("seconds", seconds);
             w.kv("clients", static_cast<double>(clients));
             w.kv("kernels", static_cast<double>(kernels));
+            w.kv("server_latency", "phase");
             w.key("phases");
             w.beginArray();
-            for (const PhaseResult *r : {&steady, &overload}) {
-                w.beginObject();
-                w.kv("name", r->name);
-                w.kv("qps", r->qps());
-                w.kv("completed", static_cast<double>(r->completed));
-                w.kv("busy", static_cast<double>(r->busy));
-                w.kv("errors", static_cast<double>(r->errors));
-                w.kv("hit_rate", r->hitRate);
-                w.kv("shed_fraction", r->shedFraction);
-                w.kv("degraded_fraction", r->degradedFraction);
-                w.kv("p50_us", r->p50Us);
-                w.kv("p99_us", r->p99Us);
-                w.endObject();
-            }
+            for (const PhaseResult *r : {&steady, &overload})
+                writePhase(w, *r);
             w.endArray();
             w.endObject();
             os << '\n';
@@ -378,9 +426,11 @@ benchMain(int argc, char **argv)
 
     if (failures == 0)
         std::printf("[serve-qps] PASS: served %.0f qps steady / %.0f "
-                    "qps under 2x overload, shed %.0f%%, p99 %.0fus\n",
+                    "qps under 2x overload, shed %.0f%%, server p99 "
+                    "%.0fus, steady round-trip p99 %.1fus\n",
                     steady.qps(), overload.qps(),
-                    overload.shedFraction * 100.0, overload.p99Us);
+                    overload.shedFraction * 100.0, overload.p99Us,
+                    steady.rttP99Us);
     return failures == 0 ? 0 : 1;
 }
 

@@ -2,7 +2,6 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
-#include "common/sim_error.hh"
 #include "mem/address.hh"
 #include "telemetry/stat_registry.hh"
 
@@ -30,13 +29,14 @@ SectoredCache::registerStats(telemetry::StatRegistry &reg,
 SectoredCache::SectoredCache(Bytes size, int assoc, std::string name)
     : name_(std::move(name)), assoc_(assoc)
 {
-    ladm_assert(assoc >= 1, "associativity must be >= 1");
+    ladm_assert(assoc >= 1 && static_cast<uint64_t>(assoc) < kMaxStamp,
+                "associativity must be in [1, 2^25)");
     Bytes set_bytes = static_cast<Bytes>(assoc) * kLineSize;
     ladm_assert(size >= set_bytes && size % set_bytes == 0,
                 "cache '", name_, "': size ", size,
                 " not a multiple of assoc*line");
     numSets_ = size / set_bytes;
-    ways_.resize(numSets_ * assoc_);
+    ways_.resize(numSets_ * assoc_); // zero-filled: every way empty
     if (isPowerOfTwo(numSets_)) {
         int shift = 0;
         while ((size_t(1) << shift) < numSets_)
@@ -54,14 +54,15 @@ uint64_t
 SectoredCache::invalidateRange(Addr lo, Addr hi)
 {
     uint64_t dropped = 0;
-    for (Addr line = lineBase(lo); line < hi; line += kLineSize) {
-        Way *const set = &ways_[setIndex(line) * assoc_];
+    for (uint64_t line = lo / kLineSize; line * kLineSize < hi; ++line) {
+        const uint64_t tag = tagOf(line);
+        Way *const set = setOf(line);
         for (int i = 0; i < assoc_; ++i) {
-            if (set[i].tag != line)
+            if ((set[i] & kTagMask) != tag)
                 continue;
             dropped += static_cast<uint64_t>(
-                __builtin_popcount(validOf(set[i].meta)));
-            set[i] = Way{};
+                __builtin_popcountll(set[i] & kValidMask));
+            set[i] = 0;
             break;
         }
     }
@@ -75,21 +76,32 @@ SectoredCache::invalidateAll()
         return 0;
     uint64_t dirty = 0;
     for (Way &w : ways_) {
-        if (w.tag != kNoLine)
-            dirty += static_cast<uint64_t>(
-                __builtin_popcount(dirtyOf(w.meta)));
-        w = Way{};
+        dirty += static_cast<uint64_t>(__builtin_popcount(dirtyOf(w)));
+        w = 0;
     }
     populated_ = false;
     return dirty;
 }
 
 void
-SectoredCache::checkStampHeadroom() const
+SectoredCache::renumberStamps()
 {
-    ladm_require(useClock_ < kStampHeadroom, "cache '", name_,
-                 "': LRU clock ", useClock_,
-                 " nears the 48-bit stamp limit");
+    const uint64_t keep = ~(kMaxStamp << kStampShift);
+    std::vector<uint64_t> rank(static_cast<size_t>(assoc_));
+    for (size_t s = 0; s < numSets_; ++s) {
+        Way *const set = &ways_[s * assoc_];
+        // Resident stamps are distinct, so whole words rank them.
+        for (int i = 0; i < assoc_; ++i) {
+            rank[i] = 1;
+            for (int j = 0; j < assoc_; ++j)
+                rank[i] += set[j] != 0 && set[j] < set[i];
+        }
+        for (int i = 0; i < assoc_; ++i) {
+            if (set[i] != 0)
+                set[i] = (set[i] & keep) | rank[i] << kStampShift;
+        }
+    }
+    useClock_ = static_cast<uint64_t>(assoc_) + 1;
 }
 
 void

@@ -16,11 +16,12 @@
 #ifndef LADM_CACHE_CACHE_HH
 #define LADM_CACHE_CACHE_HH
 
+#include <cassert>
 #include <cstdint>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "common/host_line.hh"
 #include "common/types.hh"
 #include "mem/address.hh"
 
@@ -46,32 +47,6 @@ struct EvictInfo
     bool evicted = false;     ///< a valid victim line was displaced
     Addr lineAddr = 0;        ///< victim's line base address
     uint8_t dirtyMask = 0;    ///< victim's dirty sectors (bit per sector)
-};
-
-/** Allocator that starts every array on a 64-byte host cache line. */
-template <typename T>
-struct HostLineAllocator
-{
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-
-    HostLineAllocator() = default;
-    template <typename U>
-    HostLineAllocator(const HostLineAllocator<U> &)
-    {
-    }
-    T *
-    allocate(size_t n)
-    {
-        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
-    }
-    void deallocate(T *p, size_t) { ::operator delete(p, kAlign); }
-    template <typename U>
-    bool
-    operator==(const HostLineAllocator<U> &) const
-    {
-        return true;
-    }
 };
 
 class SectoredCache
@@ -156,13 +131,8 @@ class SectoredCache
     size_t numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
 
-    /**
-     * Refuse to run once the LRU clock nears the 48-bit stamp field. A
-     * kernel cannot make 2^47 accesses, so checking once per kernel
-     * keeps the check off the access path.
-     * @throws SimError when the clock has passed 2^47.
-     */
-    void checkStampHeadroom() const;
+    /** Largest LRU stamp a way holds; the clock renumbers past it. */
+    static constexpr uint64_t kMaxStamp = (uint64_t{1} << 25) - 1;
 
     /** Test hook: advance the LRU clock by @p n without accessing. */
     void debugAdvanceClock(uint64_t n) { useClock_ += n; }
@@ -171,48 +141,61 @@ class SectoredCache
     template <class Ar> void io(Ar &ar);
 
   private:
-    static constexpr int kSectorsPerLine =
-        static_cast<int>(kLineSize / kSectorSize);
+    static_assert(kLineSize / kSectorSize == 4,
+                  "a way packs four valid and four dirty sector bits");
 
     /**
-     * Sentinel for an empty way. Line base addresses are kLineSize-
-     * aligned, so the all-ones address can never collide with one --
-     * validity folds into the tag itself.
+     * One way in one 8-byte word, from bit 0: four valid-sector bits,
+     * four dirty-sector bits, a 31-bit tag and a 25-bit LRU stamp. The
+     * tag is the line index + 1 (kMaxSimAddr allows line index
+     * 2^30 - 1), so an all-zero word is an empty way. Every access
+     * stamps one way with a fresh clock value, so the resident ways of
+     * a set carry distinct stamps; with the stamp on top, comparing
+     * whole words orders them by recency, and an empty way sorts first.
      */
-    static constexpr Addr kNoLine = ~Addr{0};
+    using Way = uint64_t;
+    static constexpr int kDirtyShift = 4;
+    static constexpr int kTagShift = 8;
+    static constexpr int kStampShift = 39;
+    static constexpr uint64_t kValidMask = 0xF;
+    static constexpr uint64_t kFlagsMask = 0xFF;
+    static constexpr uint64_t kTagMask = ((uint64_t{1} << 31) - 1)
+                                         << kTagShift;
 
-    /**
-     * One way in 16 bytes: the tag, then the valid-sector byte, the
-     * dirty-sector byte and a 48-bit LRU stamp packed into one word.
-     */
-    struct Way
+    static uint64_t tagOf(uint64_t line) { return (line + 1) << kTagShift; }
+    static Addr
+    lineAddrOf(Way w)
     {
-        Addr tag = kNoLine;
-        uint64_t meta = 0;
-    };
-    static constexpr int kDirtyShift = 8;
-    static constexpr int kStampShift = 16;
-    static constexpr uint64_t kFlagsMask = (uint64_t{1} << kStampShift) - 1;
-    /** checkStampHeadroom() refuses a clock past this. */
-    static constexpr uint64_t kStampHeadroom = uint64_t{1} << 47;
-
-    static uint8_t validOf(uint64_t m) { return static_cast<uint8_t>(m); }
-    static uint8_t
-    dirtyOf(uint64_t m)
-    {
-        return static_cast<uint8_t>(m >> kDirtyShift);
+        return (((w & kTagMask) >> kTagShift) - 1) * kLineSize;
     }
-    static uint64_t stampOf(uint64_t m) { return m >> kStampShift; }
+    static uint8_t
+    dirtyOf(Way w)
+    {
+        return static_cast<uint8_t>((w >> kDirtyShift) & kValidMask);
+    }
 
-    size_t setIndex(Addr line_addr) const;
+    size_t setIndex(uint64_t line) const;
+    Way *setOf(uint64_t line) { return &ways_[setIndex(line) * assoc_]; }
+    const Way *
+    setOf(uint64_t line) const
+    {
+        return &ways_[setIndex(line) * assoc_];
+    }
+
+    /**
+     * The clock passed kMaxStamp: give each set's resident ways stamps
+     * 1..k in their current order and restart the clock above them, so
+     * every later victim choice is the one the unbounded clock makes.
+     */
+    [[gnu::cold]] void renumberStamps();
 
     std::string name_;
     int assoc_;
     size_t numSets_ = 0;
     /**
-     * Set-major way array. A set starts on a 64-byte boundary whenever
-     * assoc is a multiple of 4, so a 4-way L1 set is one host cache line
-     * and a lookup's tag scan and metadata update share it.
+     * Set-major way array on 64-byte host lines: a 4-way L1 set is half
+     * a line and a 16-way L2 set two, so a lookup's tag scan and stamp
+     * update touch only those.
      */
     std::vector<Way, HostLineAllocator<Way>> ways_;
     /** log2(numSets_) when it is a power of two, else -1 (slow path). */
@@ -232,12 +215,11 @@ class SectoredCache
 // --- hot path, inline ------------------------------------------------------
 
 inline size_t
-SectoredCache::setIndex(Addr line_addr) const
+SectoredCache::setIndex(uint64_t line) const
 {
     // XOR-folded set hash (as GPUs and Accel-Sim use): without it,
     // column-strided access patterns whose row pitch is a power of two
     // concentrate into a few sets and conflict-thrash pathologically.
-    uint64_t line = line_addr / kLineSize;
     uint64_t h = line;
     if (setShift_ >= 0) {
         // numSets_ is a power of two (the common case): identical
@@ -257,31 +239,33 @@ SectoredCache::setIndex(Addr line_addr) const
 inline void
 SectoredCache::prefetchSet(Addr addr) const
 {
-    __builtin_prefetch(&ways_[setIndex(lineBase(addr)) * assoc_]);
+    __builtin_prefetch(setOf(addr / kLineSize));
 }
 
 inline AccessResult
 SectoredCache::access(Addr addr, bool is_write, bool allocate,
                       EvictInfo *evict)
 {
+    assert(addr < kMaxSimAddr && "address exceeds the cache tag field");
     ++accesses_;
-    ++useClock_;
+    if (++useClock_ > kMaxStamp) [[unlikely]]
+        renumberStamps();
 
-    const Addr line = lineBase(addr);
-    const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint64_t sbit = uint64_t{1} << sector;
+    const uint64_t line = addr / kLineSize;
+    const uint64_t sbit = uint64_t{1} << ((addr / kSectorSize) & 3);
     const uint64_t dbit = sbit << kDirtyShift;
+    const uint64_t tag = tagOf(line);
     const uint64_t stamp = useClock_ << kStampShift;
-    Way *const set = &ways_[setIndex(line) * assoc_];
+    Way *const set = setOf(line);
 
     for (int i = 0; i < assoc_; ++i) {
-        if (set[i].tag != line)
+        if ((set[i] & kTagMask) != tag)
             continue;
-        uint64_t flags = set[i].meta & kFlagsMask;
+        uint64_t flags = set[i] & kFlagsMask;
         if (flags & sbit) {
             if (is_write)
                 flags |= dbit;
-            set[i].meta = stamp | flags;
+            set[i] = stamp | tag | flags;
             ++hits_;
             return AccessResult::Hit;
         }
@@ -291,7 +275,7 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
             flags |= is_write ? sbit | dbit : sbit;
         else
             ++bypasses_;
-        set[i].meta = stamp | flags;
+        set[i] = stamp | tag | flags;
         return AccessResult::SectorMiss;
     }
 
@@ -301,24 +285,24 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
         return AccessResult::Miss;
     }
 
-    // Pick the LRU victim (preferring an invalid way).
+    // The LRU victim, preferring the first empty way: the first
+    // smallest word. Nothing is below an empty way (0), so the scan
+    // stops at one.
     int victim = 0;
-    for (int i = 0; i < assoc_; ++i) {
-        if (set[i].tag == kNoLine) {
+    Way oldest = set[0];
+    for (int i = 1; i < assoc_ && oldest != 0; ++i) {
+        if (set[i] < oldest) {
+            oldest = set[i];
             victim = i;
-            break;
         }
-        if (stampOf(set[i].meta) < stampOf(set[victim].meta))
-            victim = i;
     }
     Way &w = set[victim];
-    if (w.tag != kNoLine && evict) {
+    if (w != 0 && evict) {
         evict->evicted = true;
-        evict->lineAddr = w.tag;
-        evict->dirtyMask = dirtyOf(w.meta);
+        evict->lineAddr = lineAddrOf(w);
+        evict->dirtyMask = dirtyOf(w);
     }
-    w.tag = line;
-    w.meta = stamp | (is_write ? sbit | dbit : sbit);
+    w = stamp | tag | (is_write ? sbit | dbit : sbit);
     populated_ = true;
     return AccessResult::Miss;
 }
@@ -326,12 +310,12 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
 inline bool
 SectoredCache::probe(Addr addr) const
 {
-    const Addr line = lineBase(addr);
-    const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const Way *const set = &ways_[setIndex(line) * assoc_];
+    const uint64_t line = addr / kLineSize;
+    const uint64_t tag = tagOf(line);
+    const Way *const set = setOf(line);
     for (int i = 0; i < assoc_; ++i) {
-        if (set[i].tag == line)
-            return (set[i].meta >> sector) & 1;
+        if ((set[i] & kTagMask) == tag)
+            return (set[i] >> ((addr / kSectorSize) & 3)) & 1;
     }
     return false;
 }
@@ -339,18 +323,18 @@ SectoredCache::probe(Addr addr) const
 inline bool
 SectoredCache::invalidateSector(Addr addr)
 {
-    const Addr line = lineBase(addr);
-    const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint64_t sbit = uint64_t{1} << sector;
-    Way *const set = &ways_[setIndex(line) * assoc_];
+    const uint64_t line = addr / kLineSize;
+    const uint64_t sbit = uint64_t{1} << ((addr / kSectorSize) & 3);
+    const uint64_t tag = tagOf(line);
+    Way *const set = setOf(line);
     for (int i = 0; i < assoc_; ++i) {
         Way &w = set[i];
-        if (w.tag != line)
+        if ((w & kTagMask) != tag)
             continue;
-        const bool present = (w.meta & sbit) != 0;
-        w.meta &= ~(sbit | sbit << kDirtyShift);
-        if (validOf(w.meta) == 0)
-            w = Way{};
+        const bool present = (w & sbit) != 0;
+        w &= ~(sbit | sbit << kDirtyShift);
+        if ((w & kValidMask) == 0)
+            w = 0;
         return present;
     }
     return false;

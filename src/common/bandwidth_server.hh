@@ -22,6 +22,8 @@
 #define LADM_COMMON_BANDWIDTH_SERVER_HH
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -32,7 +34,7 @@ namespace ladm
 class BandwidthServer
 {
   public:
-    BandwidthServer() = default;
+    BandwidthServer() : BandwidthServer(1.0, 0) {}
 
     /**
      * @param bytes_per_cycle service rate; must be > 0
@@ -42,6 +44,9 @@ class BandwidthServer
         : bytesPerCycle_(bytes_per_cycle), latency_(latency)
     {
         ladm_assert(bytes_per_cycle > 0.0, "bandwidth must be positive");
+        for (size_t i = 0; i < kQuotients; ++i)
+            quot_[i] = static_cast<double>(i * kQuotientStep) /
+                       bytesPerCycle_;
     }
 
     /**
@@ -59,7 +64,10 @@ class BandwidthServer
         // Accumulate fractional cycles so narrow links are not quantized
         // to zero cost per sector.
         fracBusy_ += serviceFrac(bytes);
-        const Cycles busy = static_cast<Cycles>(fracBusy_);
+        // fracBusy_ < 2^63, so truncating through int64_t is exact and
+        // avoids the branchy unsigned conversion.
+        const Cycles busy =
+            static_cast<Cycles>(static_cast<int64_t>(fracBusy_));
         fracBusy_ -= static_cast<double>(busy);
         nextFree_ = start + busy;
         totalBytes_ += bytes;
@@ -114,39 +122,31 @@ class BandwidthServer
 
     /**
      * Checkpoint timing + byte counters (snapshot/component_state.cc).
-     * The quotient memo is NOT serialized: it is derived purely from the
-     * configured rate and IEEE division is deterministic, so a cold memo
-     * refills with bit-identical values.
+     * The quotient table is NOT serialized: it is derived purely from
+     * the configured rate.
      */
     template <class Ar> void io(Ar &ar);
 
   private:
+    static constexpr Bytes kQuotientStep = 8;
+    static constexpr size_t kQuotients = 17; ///< 0, 8, ..., 128 bytes
+
     /**
-     * Service time in fractional cycles for @p bytes. A server sees the
-     * same one or two transfer sizes (data sector, control message)
-     * millions of times, so their quotients are memoized on first use.
-     * IEEE-754 division is deterministic -- same operands, same result
-     * -- so the cached quotient is bit-identical to dividing every
-     * call; this only hoists the divide off the hot path. The memo is
-     * derived purely from the configured rate and therefore survives
-     * reset().
+     * Service time in fractional cycles for @p bytes. The fabric's
+     * 8-byte requests and 32-byte replies, and every sector-sized
+     * transfer, read the quotient from a table filled at construction;
+     * other sizes divide. IEEE-754 division is deterministic -- same
+     * operands, same result -- so the table holds exactly the quotient
+     * a division would give, and the lookup has no data-dependent
+     * branch however the sizes interleave.
      */
     double
-    serviceFrac(Bytes bytes)
+    serviceFrac(Bytes bytes) const
     {
-        if (bytes == memoBytes_[0])
-            return memoQuot_[0];
-        if (bytes == memoBytes_[1])
-            return memoQuot_[1];
-        const double q = static_cast<double>(bytes) / bytesPerCycle_;
-        if (memoBytes_[0] == 0) {
-            memoBytes_[0] = bytes;
-            memoQuot_[0] = q;
-        } else if (memoBytes_[1] == 0) {
-            memoBytes_[1] = bytes;
-            memoQuot_[1] = q;
-        }
-        return q;
+        if (bytes % kQuotientStep == 0 &&
+            bytes / kQuotientStep < kQuotients) [[likely]]
+            return quot_[bytes / kQuotientStep];
+        return static_cast<double>(bytes) / bytesPerCycle_;
     }
 
     double bytesPerCycle_ = 1.0;
@@ -155,8 +155,7 @@ class BandwidthServer
     double fracBusy_ = 0.0;
     Bytes totalBytes_ = 0;
     Cycles busyCycles_ = 0;
-    Bytes memoBytes_[2] = {0, 0};
-    double memoQuot_[2] = {0.0, 0.0};
+    double quot_[kQuotients];
 };
 
 } // namespace ladm

@@ -31,7 +31,7 @@ class Link
      * Reserve capacity for @p bytes issued at @p now; returns the delay
      * this link contributes (see BandwidthServer ordering contract).
      */
-    Cycles
+    [[gnu::always_inline]] Cycles
     book(Cycles now, Bytes bytes)
     {
         return server_.book(now, bytes);

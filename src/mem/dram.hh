@@ -28,7 +28,7 @@ class Dram
      * Reserve capacity for an access of @p bytes issued at @p now;
      * returns the delay it contributes (queue + service + row latency).
      */
-    Cycles
+    [[gnu::always_inline]] Cycles
     book(Cycles now, Bytes bytes)
     {
         ++accesses_;

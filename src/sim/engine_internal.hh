@@ -253,6 +253,10 @@ struct alignas(64) Lane
                 hooks.beforePop();
                 held = pq.pop();
                 hasHeld = true;
+                // This step's trace and memory work hides the miss on
+                // the next warp's state (the heap can name it cheaply).
+                if (pq.mode() == EventQueue::Mode::Heap && !pq.empty())
+                    __builtin_prefetch(&warps[pq.nextWarp()]);
             }
             if (held.time >= wend)
                 break;

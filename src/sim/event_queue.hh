@@ -4,11 +4,16 @@
  *
  * Two implementations behind one interface:
  *
- *  - Heap: a flat binary min-heap driven by std::push_heap /
- *    std::pop_heap with a time-only comparator -- operation-for-operation
- *    the std::priority_queue the engine historically used, so the pop
- *    order (including the order of EQUAL-time events, which falls out of
- *    the heap structure) is bit-compatible with every recorded result.
+ *  - Heap: a flat binary min-heap of packed 8-byte entries
+ *    (time << 24 | warp slot), compared on the time bits only. Push and
+ *    pop perform libstdc++'s std::push_heap / std::pop_heap step for
+ *    step -- the std::priority_queue the engine historically used -- so
+ *    the pop order (including the order of EQUAL-time events, which
+ *    falls out of the heap structure) is bit-compatible with every
+ *    recorded result. The array is 1-based on 64-byte host lines: a
+ *    node's two children share a 16-byte pair and its four
+ *    grandchildren one aligned 32-byte group, which the sift-down
+ *    prefetches a level ahead.
  *
  *  - Calendar: a classic calendar queue [Brown 1988] bucketed by the
  *    compute gap. An event lands in bucket (time / width) mod numBuckets;
@@ -40,6 +45,8 @@
 #include <functional>
 #include <vector>
 
+#include "common/host_line.hh"
+#include "common/sim_error.hh"
 #include "common/types.hh"
 
 namespace ladm
@@ -78,22 +85,32 @@ class EventQueue
             yearSpan_ = static_cast<Cycles>(kNumBuckets) * width_;
         }
         heap_.reserve(1024);
+        heap_.push_back(0); // slot 0 unused: the heap is 1-based
     }
+
+    /** A heap entry packs a time below 2^40 over a slot below 2^24. */
+    static constexpr int kSlotBits = 24;
+    static constexpr int kTimeBits = 40;
 
     Mode mode() const { return mode_; }
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
 
+    /**
+     * @throws SimError in Heap mode when @p time needs more than 40 bits
+     *         or @p warp more than 24.
+     */
     void
     push(Cycles time, uint32_t warp)
     {
-        ++size_;
         if (mode_ == Mode::Heap) {
-            heap_.push_back(WarpEvent{time, warp});
-            std::push_heap(heap_.begin(), heap_.end(),
-                           std::greater<WarpEvent>());
+            const uint64_t e = pack(time, warp);
+            ++size_;
+            heap_.push_back(e);
+            siftUp(size_, e);
             return;
         }
+        ++size_;
         pushCalendar(Entry{time, seq_++, warp});
     }
 
@@ -106,25 +123,108 @@ class EventQueue
     {
         --size_;
         if (mode_ == Mode::Heap) {
-            std::pop_heap(heap_.begin(), heap_.end(),
-                          std::greater<WarpEvent>());
-            const WarpEvent ev = heap_.back();
+            const uint64_t top = heap_[1];
+            const uint64_t last = heap_.back();
             heap_.pop_back();
-            return ev;
+            if (size_ > 0)
+                siftDown(last);
+            return unpack(top);
         }
         return popCalendar();
     }
 
     /**
-     * Checkpoint the queue's raw arrays (snapshot/component_state.cc).
-     * The heap vector and calendar buckets are serialized as-is, never
-     * rebuilt by re-pushing: the structural order of EQUAL-time events
-     * is behavior-relevant (simultaneous accesses book bandwidth in pop
-     * order), so restore must reproduce the exact internal layout.
+     * Heap mode, non-empty: the warp slot of the event pop() returns
+     * next, for prefetching its state ahead of time.
+     */
+    uint32_t
+    nextWarp() const
+    {
+        return static_cast<uint32_t>(heap_[1] & kSlotMask);
+    }
+
+    /**
+     * Checkpoint the queue's arrays (snapshot/component_state.cc): the
+     * heap as (time, warp) pairs in array order, the calendar buckets
+     * as-is. Neither is rebuilt by re-pushing: the structural order of
+     * EQUAL-time events is behavior-relevant (simultaneous accesses
+     * book bandwidth in pop order), so restore must reproduce the exact
+     * internal layout.
      */
     template <class Ar> void io(Ar &ar);
 
   private:
+    static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+
+    static uint64_t
+    pack(Cycles time, uint32_t warp)
+    {
+        if (((time >> kTimeBits) | (warp >> kSlotBits)) != 0) [[unlikely]]
+            unpackable(time, warp);
+        return (time << kSlotBits) | warp;
+    }
+
+    static WarpEvent
+    unpack(uint64_t e)
+    {
+        return WarpEvent{e >> kSlotBits, static_cast<uint32_t>(e & kSlotMask)};
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    unpackable(Cycles time, uint32_t warp)
+    {
+        throw SimError(SimError::Kind::Usage,
+                       detail::format("event queue: time ", time, " or warp ",
+                                      warp,
+                                      " does not fit a packed heap entry"));
+    }
+
+    /**
+     * libstdc++'s __push_heap: move the hole at 1-based index @p hole
+     * up past every parent with a LATER time, then fill it with @p e.
+     */
+    void
+    siftUp(size_t hole, uint64_t e)
+    {
+        const uint64_t t = e >> kSlotBits;
+        while (hole > 1) {
+            const size_t parent = hole / 2;
+            if ((heap_[parent] >> kSlotBits) <= t)
+                break;
+            heap_[hole] = heap_[parent];
+            hole = parent;
+        }
+        heap_[hole] = e;
+    }
+
+    /**
+     * libstdc++'s __adjust_heap from the root, with @p e the former last
+     * entry: the hole walks down to a leaf through the earlier child
+     * (the right one on a tie), then @p e sifts up from there.
+     */
+    void
+    siftDown(uint64_t e)
+    {
+        uint64_t *const h = heap_.data();
+        const size_t n = size_;
+        size_t hole = 1;
+        while (2 * hole + 1 <= n) {
+            if (4 * hole <= n)
+                __builtin_prefetch(h + 4 * hole);
+            // The right child unless the left is strictly earlier,
+            // selected without a branch (the outcome is a coin flip).
+            size_t child = 2 * hole + 1;
+            child -= (h[child] >> kSlotBits) > (h[child - 1] >> kSlotBits);
+            h[hole] = h[child];
+            hole = child;
+        }
+        if (2 * hole == n) {
+            h[hole] = h[n];
+            hole = n;
+        }
+        siftUp(hole, e);
+    }
+
     struct Entry
     {
         Cycles time;
@@ -234,8 +334,8 @@ class EventQueue
     Cycles width_;
     size_t size_ = 0;
 
-    // Heap mode.
-    std::vector<WarpEvent> heap_;
+    // Heap mode: packed entries at [1, size_].
+    std::vector<uint64_t, HostLineAllocator<uint64_t>> heap_;
 
     // Calendar mode.
     std::vector<std::vector<Entry>> buckets_;

@@ -59,7 +59,6 @@ GpuSystem::runKernel(const LaunchDims &dims, TraceSource &trace,
     if (flush_caches && !resume)
         mem_.flushCaches();
     mem_.setInsertPolicy(policy);
-    mem_.checkStampHeadroom();
 
     const bool windowed = telemetry::session().statsActive();
     if (windowed && !resume)

@@ -536,15 +536,6 @@ MemorySystem::debugInjectPending(NodeId node, Addr addr, Cycles readyAt)
 }
 
 void
-MemorySystem::checkStampHeadroom() const
-{
-    for (const SectoredCache &c : l1_)
-        c.checkStampHeadroom();
-    for (const SectoredCache &c : l2_)
-        c.checkStampHeadroom();
-}
-
-void
 MemorySystem::flushCaches()
 {
     for (size_t s = 0; s < l1_.size(); ++s)

@@ -205,13 +205,6 @@ class MemorySystem
     void flushCaches();
 
     /**
-     * Per-kernel limit check: every cache's LRU clock must be far from
-     * its 48-bit stamp field (SectoredCache::checkStampHeadroom()).
-     * @throws SimError naming the first cache past the limit.
-     */
-    void checkStampHeadroom() const;
-
-    /**
      * Invariant check at a drain point (end of kernel, end of run): no
      * outstanding miss (MSHR entry) on any node may complete after
      * @p now. A violation means an entry leaked past the cycle every

@@ -185,10 +185,24 @@ EventQueue::io(Ar &ar)
     bool calendar = mode_ == Mode::Calendar;
     ar(calendar);
     ar.expect(calendar, mode_ == Mode::Calendar, "event queue mode");
-    // The heap vector's STRUCTURAL order (not just its multiset of
-    // events) is serialized: equal-time pops follow the array layout.
-    // Heap mode carries the calendar fields too, all empty or zero.
-    ar(size_, heap_, cursor_, yearStart_, inYear_, seq_, overflow_);
+    // The heap's STRUCTURAL order (not just its multiset of events) is
+    // serialized, as (time, warp) pairs in array order: equal-time pops
+    // follow the layout. Heap mode carries the calendar fields too, all
+    // empty or zero.
+    std::vector<WarpEvent> heap;
+    if constexpr (!Ar::kLoading) {
+        heap.reserve(heap_.size() - 1);
+        for (size_t i = 1; i < heap_.size(); ++i)
+            heap.push_back(unpack(heap_[i]));
+    }
+    ar(size_, heap, cursor_, yearStart_, inYear_, seq_, overflow_);
+    if constexpr (Ar::kLoading) {
+        ar.expect(heap.size(), mode_ == Mode::Heap ? size_ : size_t{0},
+                  "event heap size");
+        heap_.resize(1);
+        for (const WarpEvent &ev : heap)
+            heap_.push_back(pack(ev.time, ev.warp));
+    }
     ar.fixed(buckets_, "calendar buckets");
 }
 

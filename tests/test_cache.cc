@@ -10,7 +10,7 @@
 #include "cache/insertion_policy.hh"
 #include "cache/traffic_class.hh"
 #include "common/rng.hh"
-#include "common/sim_error.hh"
+#include "mem/address.hh"
 
 namespace ladm
 {
@@ -185,18 +185,29 @@ TEST(Cache, InvalidateAllAfterReuseStillEmpties)
     EXPECT_FALSE(c.probe(kLineSize));
 }
 
-TEST(Cache, StampHeadroomIsChecked)
+TEST(Cache, LargestLegalLineKeepsItsFullTag)
 {
-    // LRU stamps are 48 bits wide. The clock is checked once per kernel
-    // (MemorySystem::checkStampHeadroom), and refuses to run on once it
-    // passes 2^47 rather than let stamps wrap and corrupt LRU order.
-    SectoredCache c(64 * 1024, 4, "t");
-    c.access(0, false, true);
-    EXPECT_NO_THROW(c.checkStampHeadroom());
-    c.debugAdvanceClock((uint64_t{1} << 47) - 2);
-    EXPECT_NO_THROW(c.checkStampHeadroom());
-    c.access(0, false, true);
-    EXPECT_THROW(c.checkStampHeadroom(), SimError);
+    // kMaxSimAddr allows line index 2^30 - 1, whose tag (index + 1) is
+    // 2^30: the top bit of a way's 31-bit tag field. One 4-way set, so
+    // every line below competes with it.
+    SectoredCache c(4 * kLineSize, 4, "t");
+    const Addr top = kMaxSimAddr - kSectorSize; // the last legal sector
+    ASSERT_EQ(top / kLineSize, (uint64_t{1} << 30) - 1);
+    EXPECT_EQ(c.access(top, true, true), AccessResult::Miss);
+    EXPECT_EQ(c.access(top, false, true), AccessResult::Hit);
+    EXPECT_TRUE(c.probe(top));
+    EXPECT_FALSE(c.probe(top - kLineSize));
+    EXPECT_FALSE(c.probe(0));
+    for (Addr a : {Addr{0}, kLineSize, 2 * kLineSize})
+        EXPECT_EQ(c.access(a, false, true), AccessResult::Miss);
+    EXPECT_TRUE(c.probe(top));
+    // The set is full; the next line evicts the least recent: the top.
+    EvictInfo ev;
+    EXPECT_EQ(c.access(3 * kLineSize, false, true, &ev), AccessResult::Miss);
+    EXPECT_TRUE(ev.evicted);
+    EXPECT_EQ(ev.lineAddr, lineBase(top));
+    EXPECT_EQ(ev.dirtyMask, 1u << ((top % kLineSize) / kSectorSize));
+    EXPECT_FALSE(c.probe(top));
 }
 
 // --- insertion policy / traffic class ------------------------------------------

@@ -12,11 +12,13 @@
  *    replaced, including collision chains, the table-owned expiry
  *    sweep, ready-offset rebasing, and a capacity bound of 4x the live
  *    set under churn;
- *  - the 16-byte-way SectoredCache against the structure-of-arrays
- *    layout it replaced (results, evictions, victim order, and every
- *    invalidation path);
+ *  - the 8-byte-way SectoredCache against the structure-of-arrays
+ *    layout with 64-bit stamps it replaced (results, evictions, victim
+ *    order, every invalidation path, and the 25-bit stamp field's
+ *    renumbering when the LRU clock wraps);
  *  - the EventQueue's two modes against the std::priority_queue the
- *    engine historically used.
+ *    engine historically used, including a 16K-warp drain and a
+ *    checkpoint round trip of the packed heap.
  */
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "cache/cache.hh"
 #include "common/bitutils.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "common/sim_error.hh"
 #include "mem/address.hh"
 #include "mem/page_table.hh"
@@ -703,10 +706,13 @@ class SoaCacheRef
 /**
  * Drive both caches with one random op stream over a line pool a few
  * times the cache's capacity, comparing every result, every EvictInfo
- * (which pins the victim order), and the hit counter.
+ * (which pins the victim order), and the hit counter. With @p wrap, the
+ * cache under test starts its LRU clock just below the stamp limit, so
+ * it renumbers its stamps about 70% of the way through the stream,
+ * between two flushes, with the cache full.
  */
 void
-runCacheDifferential(Bytes size, int assoc, uint64_t seed)
+runCacheDifferential(Bytes size, int assoc, uint64_t seed, bool wrap = false)
 {
     SectoredCache c(size, assoc, "dut");
     SoaCacheRef ref(size, assoc);
@@ -720,7 +726,10 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed)
     // Enough ops to fill the cache several times between the few
     // whole-cache flushes.
     const uint64_t ops = 20 * (size / kLineSize) + 20000;
-    uint64_t hits = 0, evictions = 0;
+    const uint64_t to_wrap = ops * 6 / 10; // 85% of ops access
+    if (wrap)
+        c.debugAdvanceClock(SectoredCache::kMaxStamp - to_wrap);
+    uint64_t hits = 0, evictions = 0, accesses = 0;
     for (uint64_t op = 0; op < ops; ++op) {
         if (op % (ops / 4) == ops / 4 - 1) {
             ASSERT_EQ(c.invalidateAll(), ref.invalidateAll()) << "op " << op;
@@ -740,6 +749,7 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed)
             ASSERT_EQ(eg.dirtyMask, ew.dirtyMask) << "op " << op;
             hits += got == AccessResult::Hit;
             evictions += eg.evicted;
+            ++accesses;
         } else if (kind < 95) {
             ASSERT_EQ(c.invalidateSector(a), ref.invalidateSector(a))
                 << "op " << op;
@@ -760,6 +770,9 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed)
     EXPECT_EQ(c.hits(), hits);
     EXPECT_GT(hits, 1000u);
     EXPECT_GT(evictions, 1000u);
+    if (wrap) {
+        EXPECT_GT(accesses, to_wrap + lines) << "too few accesses after the stamp wrap";
+    }
     EXPECT_EQ(c.invalidateAll(), ref.invalidateAll());
 }
 
@@ -777,6 +790,16 @@ TEST(CacheEquivalence, OddGeometriesMatchSoaReference)
 {
     runCacheDifferential(3 * 2 * kLineSize, 2, 3); // 3 sets: slow hash
     runCacheDifferential(8 * 1 * kLineSize, 1, 4); // direct mapped
+}
+
+TEST(CacheEquivalence, StampWrapKeepsVictimOrder)
+{
+    // The 25-bit stamp field overflows mid-stream; each set's stamps are
+    // renumbered in order, so every victim matches the reference's
+    // 64-bit clock.
+    runCacheDifferential(64 * 1024, 4, 5, /*wrap=*/true);
+    runCacheDifferential(1 << 20, 16, 6, /*wrap=*/true);
+    runCacheDifferential(3 * 2 * kLineSize, 2, 7, /*wrap=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -817,6 +840,99 @@ TEST(EventQueueEquivalence, HeapModeMatchesPriorityQueue)
         ASSERT_EQ(got.warp, want.warp);
     }
     EXPECT_TRUE(q.empty());
+
+    // The serial engine's shape: a launch admits 16K+ warps at one
+    // cycle, and the drain pops a warp, then pushes its successor one
+    // compute gap on (so most times tie), one memory round trip on, or
+    // none when it retires, sometimes with a newly admitted warp at the
+    // pop's own cycle. Midway the queue goes through a checkpoint image
+    // and the restored copy must pop exactly as the reference does.
+    constexpr uint32_t kLive = 16 * 1024 + 7;
+    for (uint32_t w = 0; w < kLive; ++w) {
+        const Cycles time = rng.nextBounded(8) == 0 ? rng.nextBounded(16) : 0;
+        q.push(time, w);
+        ref.push(WarpEvent{time, w});
+    }
+    warp = kLive;
+    constexpr int kSteps = 200000;
+    for (int step = 0; step < kSteps; ++step) {
+        if (step == kSteps / 2) {
+            serial::Writer out;
+            out.section(1);
+            out(q);
+            serial::Reader in(out.finish(0));
+            in.section(1);
+            EventQueue restored(EventQueue::Mode::Heap);
+            in(restored);
+            ASSERT_EQ(restored.size(), q.size());
+            q = restored;
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.nextWarp(), ref.top().warp) << "step " << step;
+        const WarpEvent want = ref.top();
+        ref.pop();
+        const WarpEvent got = q.pop();
+        ASSERT_EQ(got.time, want.time) << "step " << step;
+        ASSERT_EQ(got.warp, want.warp) << "step " << step;
+        const uint64_t r = rng.nextBounded(100);
+        if (r != 0) {
+            const Cycles next =
+                got.time + (r < 90 ? 4 : 200 + rng.nextBounded(400));
+            q.push(next, got.warp);
+            ref.push(WarpEvent{next, got.warp});
+        }
+        if (r == 0 || r == 99) {
+            q.push(got.time, warp);
+            ref.push(WarpEvent{got.time, warp});
+            ++warp;
+        }
+    }
+    EXPECT_GE(q.size(), 16u * 1024u);
+}
+
+TEST(EventQueueEquivalence, HeapRefusesUnpackableEvents)
+{
+    // A heap entry packs a 40-bit time over a 24-bit warp slot.
+    const Cycles max_time = (Cycles{1} << EventQueue::kTimeBits) - 1;
+    const uint32_t max_warp = (1u << EventQueue::kSlotBits) - 1;
+    EventQueue q(EventQueue::Mode::Heap);
+    EXPECT_THROW(q.push(max_time + 1, 0), SimError);
+    EXPECT_THROW(q.push(0, max_warp + 1), SimError);
+    EXPECT_TRUE(q.empty());
+    q.push(max_time, max_warp);
+    const WarpEvent e = q.pop();
+    EXPECT_EQ(e.time, max_time);
+    EXPECT_EQ(e.warp, max_warp);
+
+    // The same limits hold for a checkpoint image: one heap-mode queue
+    // image written field by field, first with a legal event (it loads
+    // and pops), then with a time past 40 bits (refused).
+    const auto image = [](Cycles time) {
+        serial::Writer out;
+        out.section(1);
+        bool calendar = false;
+        size_t size = 1, cursor = 0, in_year = 0;
+        std::vector<WarpEvent> heap{WarpEvent{time, 3}}, overflow;
+        Cycles year_start = 0;
+        uint64_t seq = 0, buckets = 0;
+        out(calendar, size, heap, cursor, year_start, in_year, seq,
+            overflow, buckets);
+        return out.finish(0);
+    };
+    {
+        serial::Reader in(image(max_time));
+        in.section(1);
+        EventQueue r(EventQueue::Mode::Heap);
+        in(r);
+        const WarpEvent got = r.pop();
+        EXPECT_EQ(got.time, max_time);
+        EXPECT_EQ(got.warp, 3u);
+        EXPECT_TRUE(r.empty());
+    }
+    serial::Reader in(image(max_time + 1));
+    in.section(1);
+    EventQueue r(EventQueue::Mode::Heap);
+    EXPECT_THROW(in(r), SimError);
 }
 
 TEST(EventQueueEquivalence, CalendarModePopsSameTimesFifoWithinTies)

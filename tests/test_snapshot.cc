@@ -271,10 +271,10 @@ TEST_F(SnapshotTest, ReaderRejectsCorruptedSection)
 
 TEST_F(SnapshotTest, PreviousFormatVersionRefused)
 {
-    // Version 5 checkpoints the fabric as one link list (version 4 wrote
-    // every component through one io() field list, version 3 gave both
-    // event loops one lane image): an older image must be refused at the
-    // header, never parsed against the new layout.
+    // Version 6 packs each cache way into one 8-byte word (version 5
+    // checkpointed the fabric as one link list, version 4 wrote every
+    // component through one io() field list): an older image must be
+    // refused at the header, never parsed against the new layout.
     serial::Writer w;
     w.section(1);
     uint64_t one = 1;
