@@ -4,14 +4,16 @@
  * the symbolic algebra, the sectored cache (L1-hit and L2-miss paths at
  * the multi-gpu-4x4 geometry), the MSHR table, the page table, the
  * bandwidth servers, the serial MemorySystem::access pipeline (L2-hit
- * and remote-miss paths), the event queue, the fabric's route booking,
- * trace generation, and the placement advisor's byte layer (CRC32 and
- * one request/reply frame round trip). These gate the wall-clock cost
- * of the figure harnesses and of a cached placement reply, not any
- * paper result.
+ * and remote-miss paths, one coalesced warp step), the event queue, the
+ * fabric's route booking, trace generation, and the placement
+ * advisor's byte layer (CRC32 and one request/reply frame round trip).
+ * These gate the wall-clock cost of the figure harnesses and of a
+ * cached placement reply, not any paper result.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -39,6 +41,19 @@ namespace
 {
 
 using namespace dsl;
+
+/**
+ * Report a figure of the run as its label, "name=value". A user counter
+ * would do as well on the console, but google-benchmark's CSV reporter
+ * aborts when one selection mixes runs with and without counters.
+ */
+void
+label(benchmark::State &state, const char *name, double value)
+{
+    char text[64];
+    std::snprintf(text, sizeof text, "%s=%g", name, value);
+    state.SetLabel(text);
+}
 
 void
 BM_ExprEval(benchmark::State &state)
@@ -146,7 +161,7 @@ BM_MshrLocateInsert(benchmark::State &state)
         ++now;
     }
     benchmark::DoNotOptimize(merges);
-    state.counters["capacity"] = static_cast<double>(t.capacity());
+    label(state, "capacity", static_cast<double>(t.capacity()));
 }
 BENCHMARK(BM_MshrLocateInsert);
 
@@ -203,8 +218,8 @@ BM_MemAccessL2Hit(benchmark::State &state)
         a = (a + kSectorSize) & (kSpan - 1);
         now += 4;
     }
-    state.counters["l2_hit_rate"] =
-        static_cast<double>(mem.l2Hits()) / mem.l2Accesses();
+    label(state, "l2_hit_rate",
+          static_cast<double>(mem.l2Hits()) / mem.l2Accesses());
 }
 BENCHMARK(BM_MemAccessL2Hit);
 
@@ -230,9 +245,56 @@ BM_MemAccessRemoteMiss(benchmark::State &state)
             mem.access(now, 0, addrs[(now / 16) & 0xFFFF], false));
         now += 16;
     }
-    state.counters["remote_fraction"] = mem.offChipFraction();
+    label(state, "remote_fraction", mem.offChipFraction());
 }
 BENCHMARK(BM_MemAccessRemoteMiss);
+
+void
+BM_MemAccessStep(benchmark::State &state)
+{
+    // One coalesced warp step per iteration, the shape of a streaming
+    // kernel: SM 0 reads one 128-byte line of each of two arrays and
+    // writes one of a third, 12 sectors in trace order. Each array spans
+    // 256 KiB homed on SM 0's node, so the sweep thrashes the 64 KiB L1
+    // but fits the 1 MiB L2: after one warm-up pass the reads are L1
+    // misses and L2 hits, the write a write-invalidate and an L2 write
+    // hit. Time advances 16 cycles per step. Items are sectors: the
+    // time per sector is 1 / items_per_second (or the step time / 12).
+    const SystemConfig cfg = presets::multiGpu4x4();
+    MemorySystem mem(cfg);
+    constexpr Addr kBase = 0x1000000;
+    constexpr Addr kSpan = 256 * 1024;
+    constexpr int kSites = 3;
+    constexpr int kSectors = kSites * kLineSize / kSectorSize;
+    mem.pageTable().place(kBase, kSites * kSpan, 0);
+    std::vector<MemAccess> step(kSectors);
+    auto fill = [&step](Addr line) {
+        for (int i = 0; i < kSectors; ++i) {
+            const int site = i / (kLineSize / kSectorSize);
+            step[i] = {kBase + site * kSpan + line +
+                           (i % (kLineSize / kSectorSize)) * kSectorSize,
+                       site == kSites - 1};
+        }
+    };
+    Cycles now = 0;
+    for (Addr line = 0; line < kSpan; line += kLineSize, now += 16) {
+        fill(line);
+        mem.accessStep(now, 0, step.data(), step.data() + kSectors);
+    }
+    Addr line = 0;
+    for (auto _ : state) {
+        fill(line);
+        benchmark::DoNotOptimize(
+            mem.accessStep(now, 0, step.data(), step.data() + kSectors));
+        line = (line + kLineSize) & (kSpan - 1);
+        now += 16;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            kSectors);
+    label(state, "l2_hit_rate",
+          static_cast<double>(mem.l2Hits()) / mem.l2Accesses());
+}
+BENCHMARK(BM_MemAccessStep);
 
 void
 BM_AffineWarpStep(benchmark::State &state)
@@ -301,7 +363,7 @@ BM_NetworkRouteDelay(benchmark::State &state)
             i = 0;
         now += 8;
     }
-    state.counters["pairs"] = static_cast<double>(pairs.size());
+    label(state, "pairs", static_cast<double>(pairs.size()));
 }
 BENCHMARK(BM_NetworkRouteDelay);
 

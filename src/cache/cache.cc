@@ -55,16 +55,12 @@ SectoredCache::invalidateRange(Addr lo, Addr hi)
 {
     uint64_t dropped = 0;
     for (uint64_t line = lo / kLineSize; line * kLineSize < hi; ++line) {
-        const uint64_t tag = tagOf(line);
-        Way *const set = setOf(line);
-        for (int i = 0; i < assoc_; ++i) {
-            if ((set[i] & kTagMask) != tag)
-                continue;
-            dropped += static_cast<uint64_t>(
-                __builtin_popcountll(set[i] & kValidMask));
-            set[i] = 0;
-            break;
-        }
+        const size_t i = findWay(line, tagOf(line));
+        if (i == kNoWay)
+            continue;
+        dropped += static_cast<uint64_t>(
+            __builtin_popcountll(ways_[i] & kValidMask));
+        ways_[i] = 0;
     }
     return dropped;
 }

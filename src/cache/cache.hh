@@ -175,12 +175,21 @@ class SectoredCache
     }
 
     size_t setIndex(uint64_t line) const;
-    Way *setOf(uint64_t line) { return &ways_[setIndex(line) * assoc_]; }
     const Way *
     setOf(uint64_t line) const
     {
         return &ways_[setIndex(line) * assoc_];
     }
+    /** findWay()'s "line not resident" result. */
+    static constexpr size_t kNoWay = ~size_t{0};
+    /**
+     * Index into ways_ of the way holding @p line (whose tag is @p tag):
+     * the memoised way when its tag matches, else the set scan's match,
+     * else kNoWay.
+     */
+    size_t findWay(uint64_t line, uint64_t tag) const;
+    /** The way of the set at ways_[@p base] holding @p tag, or kNoWay. */
+    size_t scanSet(size_t base, uint64_t tag) const;
 
     /**
      * The clock passed kMaxStamp: give each set's resident ways stamps
@@ -202,6 +211,16 @@ class SectoredCache
     int setShift_ = -1;
     uint64_t setMask_ = 0;
     uint64_t useClock_ = 0;
+    /**
+     * Index into ways_ of the way the last hit, sector fill or
+     * allocation touched: the next lookup tries it before hashing and
+     * scanning (a warp step's consecutive sectors share a line). It is
+     * trusted only while that way's tag equals the looked-up tag, and
+     * a tag is resident in at most one way of one set, so it finds
+     * exactly the way the scan would. Derived state: not checkpointed,
+     * not hashed, reset on load.
+     */
+    size_t memo_ = 0;
     /** A line may have been allocated since the last invalidateAll(). */
     bool populated_ = false;
 
@@ -242,6 +261,24 @@ SectoredCache::prefetchSet(Addr addr) const
     __builtin_prefetch(setOf(addr / kLineSize));
 }
 
+inline size_t
+SectoredCache::scanSet(size_t base, uint64_t tag) const
+{
+    for (int i = 0; i < assoc_; ++i) {
+        if ((ways_[base + i] & kTagMask) == tag)
+            return base + i;
+    }
+    return kNoWay;
+}
+
+inline size_t
+SectoredCache::findWay(uint64_t line, uint64_t tag) const
+{
+    if ((ways_[memo_] & kTagMask) == tag)
+        return memo_;
+    return scanSet(setIndex(line) * assoc_, tag);
+}
+
 inline AccessResult
 SectoredCache::access(Addr addr, bool is_write, bool allocate,
                       EvictInfo *evict)
@@ -256,16 +293,21 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
     const uint64_t dbit = sbit << kDirtyShift;
     const uint64_t tag = tagOf(line);
     const uint64_t stamp = useClock_ << kStampShift;
-    Way *const set = setOf(line);
 
-    for (int i = 0; i < assoc_; ++i) {
-        if ((set[i] & kTagMask) != tag)
-            continue;
-        uint64_t flags = set[i] & kFlagsMask;
+    // findWay(), keeping the set's base for the victim scan below.
+    size_t i = memo_;
+    size_t base = 0;
+    if ((ways_[i] & kTagMask) != tag) {
+        base = setIndex(line) * assoc_;
+        i = scanSet(base, tag);
+    }
+    if (i != kNoWay) {
+        memo_ = i;
+        uint64_t flags = ways_[i] & kFlagsMask;
         if (flags & sbit) {
             if (is_write)
                 flags |= dbit;
-            set[i] = stamp | tag | flags;
+            ways_[i] = stamp | tag | flags;
             ++hits_;
             return AccessResult::Hit;
         }
@@ -275,7 +317,7 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
             flags |= is_write ? sbit | dbit : sbit;
         else
             ++bypasses_;
-        set[i] = stamp | tag | flags;
+        ways_[i] = stamp | tag | flags;
         return AccessResult::SectorMiss;
     }
 
@@ -288,21 +330,22 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
     // The LRU victim, preferring the first empty way: the first
     // smallest word. Nothing is below an empty way (0), so the scan
     // stops at one.
-    int victim = 0;
-    Way oldest = set[0];
-    for (int i = 1; i < assoc_ && oldest != 0; ++i) {
-        if (set[i] < oldest) {
-            oldest = set[i];
-            victim = i;
+    size_t victim = base;
+    Way oldest = ways_[base];
+    for (int k = 1; k < assoc_ && oldest != 0; ++k) {
+        if (ways_[base + k] < oldest) {
+            oldest = ways_[base + k];
+            victim = base + k;
         }
     }
-    Way &w = set[victim];
+    Way &w = ways_[victim];
     if (w != 0 && evict) {
         evict->evicted = true;
         evict->lineAddr = lineAddrOf(w);
         evict->dirtyMask = dirtyOf(w);
     }
     w = stamp | tag | (is_write ? sbit | dbit : sbit);
+    memo_ = victim;
     populated_ = true;
     return AccessResult::Miss;
 }
@@ -311,33 +354,24 @@ inline bool
 SectoredCache::probe(Addr addr) const
 {
     const uint64_t line = addr / kLineSize;
-    const uint64_t tag = tagOf(line);
-    const Way *const set = setOf(line);
-    for (int i = 0; i < assoc_; ++i) {
-        if ((set[i] & kTagMask) == tag)
-            return (set[i] >> ((addr / kSectorSize) & 3)) & 1;
-    }
-    return false;
+    const size_t i = findWay(line, tagOf(line));
+    return i != kNoWay && (ways_[i] >> ((addr / kSectorSize) & 3)) & 1;
 }
 
 inline bool
 SectoredCache::invalidateSector(Addr addr)
 {
     const uint64_t line = addr / kLineSize;
+    const size_t i = findWay(line, tagOf(line));
+    if (i == kNoWay)
+        return false;
     const uint64_t sbit = uint64_t{1} << ((addr / kSectorSize) & 3);
-    const uint64_t tag = tagOf(line);
-    Way *const set = setOf(line);
-    for (int i = 0; i < assoc_; ++i) {
-        Way &w = set[i];
-        if ((w & kTagMask) != tag)
-            continue;
-        const bool present = (w & sbit) != 0;
-        w &= ~(sbit | sbit << kDirtyShift);
-        if ((w & kValidMask) == 0)
-            w = 0;
-        return present;
-    }
-    return false;
+    Way &w = ways_[i];
+    const bool present = (w & sbit) != 0;
+    w &= ~(sbit | sbit << kDirtyShift);
+    if ((w & kValidMask) == 0)
+        w = 0;
+    return present;
 }
 
 } // namespace ladm

@@ -319,10 +319,9 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 }
             },
             [&](const WarpEvent &ev, SmId sm) {
-                Cycles done = ev.time;
-                for (const MemAccess &a : lane.buf)
-                    done = std::max(done, mem_.access(ev.time, sm, a.addr,
-                                                      a.write));
+                const Cycles done = mem_.accessStep(
+                    ev.time, sm, lane.buf.data(),
+                    lane.buf.data() + lane.buf.size());
                 // The cumulative gauges advance per step, not per
                 // kernel, so a mid-kernel timeline window sees live
                 // progress instead of a stale end-of-last-kernel total.

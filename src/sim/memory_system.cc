@@ -93,10 +93,11 @@ MemorySystem::dramBusyCycles(NodeId n) const
 //                   home HBM, fabric back
 //   5. finish       record the miss in the MSHR table
 //
-// access() runs them all inline. shardAccess() runs the node-exclusive
-// ones in a shard thread and splits at exactly three points, each
-// parked as a ShardOp that executeShardOps() finishes with the same
-// stage functions in the serial barrier: an unmapped page defers
+// accessStep() runs them all inline for each sector of a warp step in
+// turn; access() is its one-sector case. shardAccess() runs the
+// node-exclusive ones in a shard thread and splits at exactly three
+// points, each parked as a ShardOp that executeShardOps() finishes with
+// the same stage functions in the serial barrier: an unmapped page defers
 // tail() (stages 2-5; the fault mutates the machine-global page table),
 // a remote home defers remoteLeg() + finish(), and a remote-homed dirty
 // victim defers writeback(). A deferred op keeps its issue cycle, so
@@ -112,17 +113,26 @@ MemorySystem::dramBusyCycles(NodeId n) const
 // timestamps and manufacture phantom serialization.
 
 Cycles
-MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
+MemorySystem::accessStep(Cycles now, SmId sm, const MemAccess *first,
+                         const MemAccess *last)
 {
-    Access a{.now = now,
-             .addr = sectorBase(addr),
-             .node = smNode_[sm],
-             .write = write};
-    MshrTable::Ref mshr{};
-    Cycles done = 0;
-    if (frontEnd(a, sm, mshr, done))
-        return done;
-    return tail(a, mshr);
+    const NodeId node = smNode_[sm];
+    Cycles step_done = now;
+    uint64_t prev_line = ~uint64_t{0};
+    for (; first != last; ++first) {
+        Access a{.now = now,
+                 .addr = sectorBase(first->addr),
+                 .node = node,
+                 .write = first->write};
+        const uint64_t line = a.addr / kLineSize;
+        MshrTable::Ref mshr{};
+        Cycles done = 0;
+        if (!frontEnd(a, sm, line != prev_line, mshr, done))
+            done = tail(a, mshr);
+        prev_line = line;
+        step_done = std::max(step_done, done);
+    }
+    return step_done;
 }
 
 /** Stages 2-5, inline: access() and a deferred Untranslated op. */
@@ -141,19 +151,24 @@ MemorySystem::tail(Access &a, MshrTable::Ref mshr)
  * Stage 1. True when the access completed here -- an L1 hit, or a merge
  * into a miss already in flight -- with its completion cycle in @p done.
  * Otherwise @p mshr locates the sector's MSHR slot for finish().
+ * @p new_line is false when the previous access touched the same line.
  */
 bool
-MemorySystem::frontEnd(Access &a, SmId sm, MshrTable::Ref &mshr,
-                       Cycles &done)
+MemorySystem::frontEnd(Access &a, SmId sm, bool new_line,
+                       MshrTable::Ref &mshr, Cycles &done)
 {
     const NodeId node = a.node;
 
     // Start pulling the structures an L1 miss will probe -- the MSHR
     // slot, the L2 tag set, and the translation TLB entry -- while the
     // L1 lookup runs. All pure prefetch hints, no architectural effect.
+    // The previous access already pulled its line's L2 set and TLB
+    // entry; only the MSHR slot differs per sector.
     pending_[node].prefetch(a.addr);
-    l2_[node].prefetchSet(a.addr);
-    pageTable_.prefetch(a.addr);
+    if (new_line) {
+        l2_[node].prefetchSet(a.addr);
+        pageTable_.prefetch(a.addr);
+    }
 
     // L1: reads allocate; writes are write-through no-allocate with
     // write-invalidate (GPU L1s do not hold dirty global data, and a
@@ -620,9 +635,12 @@ MemorySystem::shardAccess(ShardLane &lane, Cycles now, SmId sm, Addr addr,
              .addr = sectorBase(addr),
              .node = smNode_[sm],
              .write = write};
+    const uint64_t line = a.addr / kLineSize;
+    const bool new_line = line != lane.lastLine;
+    lane.lastLine = line;
     MshrTable::Ref mshr{};
     Cycles done = 0;
-    if (frontEnd(a, sm, mshr, done))
+    if (frontEnd(a, sm, new_line, mshr, done))
         return {done, kShardNoOp};
     // In-window join: the sector is already being fetched by an earlier
     // access in this window; ride the deferred op instead of issuing a

@@ -40,6 +40,7 @@
 #include "mem/page_table.hh"
 #include "mem/uvm.hh"
 #include "sim/mshr_table.hh"
+#include "sim/trace_source.hh"
 
 namespace ladm
 {
@@ -56,11 +57,23 @@ class MemorySystem
     explicit MemorySystem(const SystemConfig &cfg);
 
     /**
-     * Issue a sector access from SM @p sm at cycle @p now, running every
-     * pipeline stage inline.
-     * @return completion cycle of the access.
+     * Issue one warp step's sector accesses [@p first, @p last) from SM
+     * @p sm, all at cycle @p now, in order, each running every pipeline
+     * stage inline. The L2-set and TLB prefetch hints go out only for
+     * the first sector of each line.
+     * @return the step's completion cycle: the latest of its accesses'
+     *         (@p now for an empty step).
      */
-    Cycles access(Cycles now, SmId sm, Addr addr, bool write);
+    Cycles accessStep(Cycles now, SmId sm, const MemAccess *first,
+                      const MemAccess *last);
+
+    /** A one-sector step: the completion cycle of one access. */
+    Cycles
+    access(Cycles now, SmId sm, Addr addr, bool write)
+    {
+        const MemAccess one{addr, write};
+        return accessStep(now, sm, &one, &one + 1);
+    }
 
     /**
      * One sector access in flight through the pipeline stages (see
@@ -132,6 +145,8 @@ class MemorySystem
         uint64_t seq = 0;
         std::vector<ShardOp> ops;
         std::unordered_map<Addr, uint32_t> inflight;
+        /** Line of the lane's last access (prefetch hints only). */
+        uint64_t lastLine = ~uint64_t{0};
 
         void
         clearWindow()
@@ -393,8 +408,10 @@ class MemorySystem
     // that may defer from the parallel phase (requesterL2's writeback).
     // Forced inline: split into functions, they must still compile to
     // one straight-line access path in each caller.
-    [[gnu::always_inline]] inline bool
-    frontEnd(Access &a, SmId sm, MshrTable::Ref &mshr, Cycles &done);
+    [[gnu::always_inline]] inline bool frontEnd(Access &a, SmId sm,
+                                                bool new_line,
+                                                MshrTable::Ref &mshr,
+                                                Cycles &done);
     [[gnu::always_inline]] inline Cycles tail(Access &a,
                                               MshrTable::Ref mshr);
     [[gnu::always_inline]] inline void translate(Access &a);

@@ -232,8 +232,10 @@ SectoredCache::io(Ar &ar)
 {
     ar.fixed(ways_, "cache ways");
     ar(useClock_, accesses_, hits_, sectorMisses_, lineMisses_, bypasses_);
-    if constexpr (Ar::kLoading)
+    if constexpr (Ar::kLoading) {
         populated_ = true;
+        memo_ = 0;
+    }
 }
 
 // --- mem/page_table.hh ------------------------------------------------------
@@ -348,6 +350,7 @@ LADM_SERIAL_INSTANTIATE(telemetry::KernelRecord);
 LADM_SERIAL_INSTANTIATE(obs::Timeline);
 LADM_SERIAL_INSTANTIATE(WarpEvent);
 LADM_SERIAL_INSTANTIATE(EventQueue);
+LADM_SERIAL_INSTANTIATE(SectoredCache);
 LADM_SERIAL_INSTANTIATE(PageTable);
 LADM_SERIAL_INSTANTIATE(MemorySystem);
 

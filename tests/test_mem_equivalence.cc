@@ -14,14 +14,16 @@
  *    set under churn;
  *  - the 8-byte-way SectoredCache against the structure-of-arrays
  *    layout with 64-bit stamps it replaced (results, evictions, victim
- *    order, every invalidation path, and the 25-bit stamp field's
- *    renumbering when the LRU clock wraps);
+ *    order, every invalidation path, the 25-bit stamp field's
+ *    renumbering when the LRU clock wraps, and the way memo under
+ *    line-run streams and a checkpoint round trip);
  *  - the EventQueue's two modes against the std::priority_queue the
  *    engine historically used, including a 16K-warp drain and a
  *    checkpoint round trip of the packed heap.
  */
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <queue>
@@ -703,34 +705,76 @@ class SoaCacheRef
     uint64_t useClock_ = 0;
 };
 
+/** The address stream runCacheDifferential() draws its ops from. */
+enum class Stream
+{
+    Uniform,  ///< every op a uniformly random sector of the line pool
+    LineRuns, ///< mostly the previous op's line, as a warp step's sectors
+};
+
 /**
  * Drive both caches with one random op stream over a line pool a few
  * times the cache's capacity, comparing every result, every EvictInfo
- * (which pins the victim order), and the hit counter. With @p wrap, the
- * cache under test starts its LRU clock just below the stamp limit, so
- * it renumbers its stamps about 70% of the way through the stream,
- * between two flushes, with the cache full.
+ * (which pins the victim order), and the hit counter. A third of the
+ * way in, the cache under test goes through a checkpoint round trip
+ * (which resets its way memo). With @p wrap, the cache under test
+ * starts its LRU clock just below the stamp limit, so it renumbers its
+ * stamps about 70% of the way through the stream, between two flushes,
+ * with the cache full.
+ *
+ * Stream::LineRuns exercises the way memo: with probability 3/4 an op
+ * takes the previous op's line (the same or another sector), else a
+ * fresh line (3/4) or one of the last eight picked. The stream is four
+ * times longer, so it sees about as many fresh lines as a uniform one.
  */
 void
-runCacheDifferential(Bytes size, int assoc, uint64_t seed, bool wrap = false)
+runCacheDifferential(Bytes size, int assoc, uint64_t seed,
+                     Stream stream = Stream::Uniform, bool wrap = false)
 {
     SectoredCache c(size, assoc, "dut");
     SoaCacheRef ref(size, assoc);
     Rng rng(seed);
+    const bool runs = stream == Stream::LineRuns;
     const uint64_t lines = 3 * size / kLineSize;
     const Addr region = 0x40000000; // 1 GiB: away from address zero
+    std::array<uint64_t, 8> recent{};
+    uint64_t picked = 0, prev = 0;
+    bool repeat = false; // this op's line is the previous op's
     auto pick = [&] {
-        return region + rng.nextBounded(lines) * kLineSize +
+        uint64_t line = prev;
+        if (!runs || picked == 0)
+            line = rng.nextBounded(lines);
+        else if (rng.nextBounded(4) == 0) {
+            line = rng.nextBounded(4) != 0
+                       ? rng.nextBounded(lines)
+                       : recent[rng.nextBounded(
+                             std::min<uint64_t>(picked, recent.size()))];
+        }
+        repeat = picked > 0 && line == prev;
+        recent[picked++ % recent.size()] = line;
+        prev = line;
+        return region + line * kLineSize +
                rng.nextBounded(kLineSize / kSectorSize) * kSectorSize;
     };
     // Enough ops to fill the cache several times between the few
     // whole-cache flushes.
-    const uint64_t ops = 20 * (size / kLineSize) + 20000;
+    const uint64_t ops =
+        (runs ? 4 : 1) * (20 * (size / kLineSize) + 20000);
     const uint64_t to_wrap = ops * 6 / 10; // 85% of ops access
     if (wrap)
         c.debugAdvanceClock(SectoredCache::kMaxStamp - to_wrap);
-    uint64_t hits = 0, evictions = 0, accesses = 0;
+    uint64_t hits = 0, evictions = 0, accesses = 0, repeat_hits = 0;
     for (uint64_t op = 0; op < ops; ++op) {
+        if (op == ops / 3) {
+            serial::Writer out;
+            out.section(1);
+            out(c);
+            serial::Reader in(out.finish(0));
+            in.section(1);
+            SectoredCache restored(size, assoc, "dut");
+            in(restored);
+            c = restored;
+        }
         if (op % (ops / 4) == ops / 4 - 1) {
             ASSERT_EQ(c.invalidateAll(), ref.invalidateAll()) << "op " << op;
             continue;
@@ -748,6 +792,7 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed, bool wrap = false)
             ASSERT_EQ(eg.lineAddr, ew.lineAddr) << "op " << op;
             ASSERT_EQ(eg.dirtyMask, ew.dirtyMask) << "op " << op;
             hits += got == AccessResult::Hit;
+            repeat_hits += repeat && got == AccessResult::Hit;
             evictions += eg.evicted;
             ++accesses;
         } else if (kind < 95) {
@@ -770,8 +815,14 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed, bool wrap = false)
     EXPECT_EQ(c.hits(), hits);
     EXPECT_GT(hits, 1000u);
     EXPECT_GT(evictions, 1000u);
+    if (runs) {
+        // A repeated line is what the memo serves; without many of
+        // them the memo path would go untested.
+        EXPECT_GT(repeat_hits, accesses / 4) << "too few repeated-line hits";
+    }
     if (wrap) {
-        EXPECT_GT(accesses, to_wrap + lines) << "too few accesses after the stamp wrap";
+        EXPECT_GT(accesses, to_wrap + lines)
+            << "too few accesses after the stamp wrap";
     }
     EXPECT_EQ(c.invalidateAll(), ref.invalidateAll());
 }
@@ -779,17 +830,21 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed, bool wrap = false)
 TEST(CacheEquivalence, L1GeometryMatchesSoaReference)
 {
     runCacheDifferential(64 * 1024, 4, 1); // 128 sets, power of two
+    runCacheDifferential(64 * 1024, 4, 11, Stream::LineRuns);
 }
 
 TEST(CacheEquivalence, L2GeometryMatchesSoaReference)
 {
     runCacheDifferential(1 << 20, 16, 2); // 512 sets, 256-byte sets
+    runCacheDifferential(1 << 20, 16, 12, Stream::LineRuns);
 }
 
 TEST(CacheEquivalence, OddGeometriesMatchSoaReference)
 {
     runCacheDifferential(3 * 2 * kLineSize, 2, 3); // 3 sets: slow hash
     runCacheDifferential(8 * 1 * kLineSize, 1, 4); // direct mapped
+    runCacheDifferential(3 * 2 * kLineSize, 2, 13, Stream::LineRuns);
+    runCacheDifferential(8 * 1 * kLineSize, 1, 14, Stream::LineRuns);
 }
 
 TEST(CacheEquivalence, StampWrapKeepsVictimOrder)
@@ -797,9 +852,13 @@ TEST(CacheEquivalence, StampWrapKeepsVictimOrder)
     // The 25-bit stamp field overflows mid-stream; each set's stamps are
     // renumbered in order, so every victim matches the reference's
     // 64-bit clock.
-    runCacheDifferential(64 * 1024, 4, 5, /*wrap=*/true);
-    runCacheDifferential(1 << 20, 16, 6, /*wrap=*/true);
-    runCacheDifferential(3 * 2 * kLineSize, 2, 7, /*wrap=*/true);
+    for (const Stream st : {Stream::Uniform, Stream::LineRuns}) {
+        const uint64_t seed = st == Stream::Uniform ? 5 : 15;
+        runCacheDifferential(64 * 1024, 4, seed, st, /*wrap=*/true);
+        runCacheDifferential(1 << 20, 16, seed + 1, st, /*wrap=*/true);
+        runCacheDifferential(3 * 2 * kLineSize, 2, seed + 2, st,
+                             /*wrap=*/true);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
  * @file
  * Tests for the NUMA memory path: local vs remote service, caching,
  * MSHR merging, RTWICE/RONCE insertion, UVM first touch, traffic
- * classes, and the kernel-boundary flush.
+ * classes, the kernel-boundary flush, and warp-step issue against
+ * sector-by-sector issue.
  */
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/serial.hh"
 #include "config/presets.hh"
 #include "mem/placement.hh"
 #include "sim/memory_system.hh"
@@ -278,6 +284,101 @@ TEST_F(MemorySystemTest, CompletionIsMonotoneWithIssueTime)
         // Completions of same-cost accesses never regress in time.
         EXPECT_GE(done + 2000, prev);
         prev = done;
+    }
+}
+
+uint64_t
+digestOf(MemorySystem &mem)
+{
+    serial::Hasher h;
+    mem.io(h);
+    return h.value();
+}
+
+TEST(MemStep, StepMatchesPerSectorAccess)
+{
+    // One seeded stream of warp steps, issued through accessStep() on
+    // one memory system and sector by sector through access() on
+    // another: every step must complete at the same cycle, and both
+    // machines must end in the same state. The steps mix coalesced
+    // 4-sector lines, scattered sectors, writes, first touches of
+    // unplaced pages, and a sector repeated within its step, which
+    // merges into the miss its first copy put in flight.
+    const SystemConfig cfg = presets::multiGpu4x4();
+    constexpr Addr kPlaced = 0x1000000;
+    constexpr Addr kUnplaced = 0x4000000;
+    constexpr Bytes kSpan = 1 << 20;
+    for (const L2InsertPolicy policy :
+         {L2InsertPolicy::RTwice, L2InsertPolicy::ROnce}) {
+        MemorySystem by_step(cfg), by_sector(cfg);
+        for (MemorySystem *m : {&by_step, &by_sector}) {
+            m->setInsertPolicy(policy);
+            placeInterleaved(m->pageTable(), kPlaced, kSpan,
+                             allNodes(cfg.numNodes()), cfg.pageSize);
+        }
+        Rng rng(policy == L2InsertPolicy::RTwice ? 31 : 32);
+        std::vector<MemAccess> step;
+        Cycles now = 0;
+        uint64_t repeat_merges = 0;
+        for (int s = 0; s < 20000; ++s) {
+            step.clear();
+            const uint64_t sites = 1 + rng.nextBounded(4);
+            for (uint64_t k = 0; k < sites; ++k) {
+                const uint64_t kind = rng.nextBounded(8);
+                if (kind < 5) {
+                    // Coalesced: one line's four sectors, a sixth of
+                    // them on pages nobody placed (first touch).
+                    const Addr base = kind == 0 ? kUnplaced : kPlaced;
+                    const Addr line =
+                        base + rng.nextBounded(kSpan / kLineSize) * kLineSize;
+                    const bool write = rng.nextBounded(5) == 0;
+                    for (Addr o = 0; o < kLineSize; o += kSectorSize)
+                        step.push_back({line + o, write});
+                } else {
+                    for (int i = 0; i < 3; ++i) {
+                        step.push_back({kPlaced + rng.nextBounded(kSpan),
+                                        rng.nextBounded(3) == 0});
+                    }
+                }
+            }
+            const bool repeat = rng.nextBounded(4) == 0;
+            if (repeat)
+                step.push_back(step[rng.nextBounded(step.size())]);
+            const auto sm = static_cast<SmId>(rng.nextBounded(16) *
+                                              cfg.smsPerChiplet);
+
+            const Cycles got = by_step.accessStep(
+                now, sm, step.data(), step.data() + step.size());
+            Cycles want = now;
+            uint64_t merges_before_last = 0;
+            for (const MemAccess &a : step) {
+                merges_before_last = by_sector.mshrMerges();
+                want = std::max(want,
+                                by_sector.access(now, sm, a.addr, a.write));
+            }
+            ASSERT_EQ(got, want) << "step " << s;
+            if (repeat)
+                repeat_merges += by_sector.mshrMerges() - merges_before_last;
+            now += rng.nextBounded(40);
+        }
+
+        EXPECT_EQ(by_step.l1Accesses(), by_sector.l1Accesses());
+        EXPECT_EQ(by_step.l1Hits(), by_sector.l1Hits());
+        EXPECT_EQ(by_step.l2Accesses(), by_sector.l2Accesses());
+        EXPECT_EQ(by_step.l2Hits(), by_sector.l2Hits());
+        EXPECT_EQ(by_step.fetchLocal(), by_sector.fetchLocal());
+        EXPECT_EQ(by_step.fetchRemote(), by_sector.fetchRemote());
+        EXPECT_EQ(by_step.mshrMerges(), by_sector.mshrMerges());
+        EXPECT_EQ(by_step.uvmFaults(), by_sector.uvmFaults());
+        EXPECT_EQ(by_step.writebackSectors(), by_sector.writebackSectors());
+        EXPECT_EQ(by_step.delayNet(), by_sector.delayNet());
+        EXPECT_EQ(digestOf(by_step), digestOf(by_sector));
+
+        // The stream reached every path it was built for.
+        EXPECT_GT(by_step.l1Hits(), 1000u);
+        EXPECT_GT(by_step.fetchRemote(), 1000u);
+        EXPECT_GT(by_step.uvmFaults(), 100u);
+        EXPECT_GT(repeat_merges, 100u);
     }
 }
 
