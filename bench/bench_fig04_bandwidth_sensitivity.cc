@@ -73,7 +73,7 @@ benchMain(int argc, char **argv)
     size_t idx = names.size();
     for (const auto &pt : points) {
         std::printf("%-16s", pt.name.c_str());
-        for (const auto &[pname, p] : policies) {
+        for (size_t k = 0; k < policies.size(); ++k) {
             std::vector<double> rel;
             for (size_t i = 0; i < names.size(); ++i) {
                 const RunMetrics &m = results[idx++];

@@ -2,10 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * the symbolic algebra, the sectored cache (L1-hit and L2-miss paths at
- * the multi-gpu-4x4 geometry), the MSHR table, the page table, the
- * bandwidth servers, the serial MemorySystem::access pipeline (L2-hit
- * and remote-miss paths, one coalesced warp step), the event queue, the
- * fabric's route booking, trace generation, and the placement
+ * the multi-gpu-4x4 geometry, and a graph cell's L2 gather), the MSHR
+ * table, the page table, the bandwidth servers, the serial
+ * MemorySystem::access pipeline (L2-hit and remote-miss paths, one
+ * coalesced warp step), the event queue, the fabric's route booking,
+ * trace generation (affine and the CSR walk), and the placement
  * advisor's byte layer (CRC32 and one request/reply frame round trip).
  * These gate the wall-clock cost of the figure harnesses and of a
  * cached placement reply, not any paper result.
@@ -27,6 +28,7 @@
 #include "kernel/expr.hh"
 #include "mem/page_table.hh"
 #include "mem/placement.hh"
+#include "runtime/malloc_registry.hh"
 #include "serve/cache.hh"
 #include "serve/decision.hh"
 #include "serve/wire.hh"
@@ -34,6 +36,7 @@
 #include "sim/memory_system.hh"
 #include "sim/mshr_table.hh"
 #include "workloads/access_gen.hh"
+#include "workloads/registry.hh"
 
 namespace ladm
 {
@@ -136,6 +139,35 @@ BM_CacheL2Miss(benchmark::State &state)
     benchmark::DoNotOptimize(ev);
 }
 BENCHMARK(BM_CacheL2Miss);
+
+void
+BM_CacheL2Gather(benchmark::State &state)
+{
+    // A graph cell's gather at the L2: random sectors of random lines
+    // over twice the L2's 8192 lines, so about half the lookups find
+    // their line resident (at a random way of its set) and the rest
+    // miss and evict. Consecutive lookups almost never share a line.
+    SectoredCache l2(kL2Bytes, kL2Assoc, "l2");
+    Rng rng(5);
+    const uint64_t lines = 2 * kL2Bytes / kLineSize;
+    std::vector<Addr> addrs(1 << 16);
+    for (auto &a : addrs)
+        a = 0x1000000 + rng.nextBounded(lines) * kLineSize +
+            rng.nextBounded(kLineSize / kSectorSize) * kSectorSize;
+    for (Addr a : addrs)
+        l2.access(a, false, true);
+    l2.resetStats();
+    size_t i = 0;
+    EvictInfo ev;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            l2.access(addrs[i++ & 0xFFFF], false, true, &ev));
+    }
+    benchmark::DoNotOptimize(ev);
+    label(state, "line_hit_rate",
+          1.0 - static_cast<double>(l2.lineMisses()) / l2.accesses());
+}
+BENCHMARK(BM_CacheL2Gather);
 
 void
 BM_MshrLocateInsert(benchmark::State &state)
@@ -318,6 +350,38 @@ BM_AffineWarpStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AffineWarpStep);
+
+void
+BM_CsrWalkStep(benchmark::State &state)
+{
+    // Every step of the first 32 thread blocks of SSSP at scale 0.1 (64
+    // warps of a power-law CSR walk: row pointers, then one edge per
+    // still-active lane and its value gather). Items are warp steps.
+    auto w = workloads::makeWorkload("SSSP", 0.1);
+    MallocRegistry reg;
+    w->allocateAll(reg);
+    auto trace = w->makeTrace(reg);
+    const int warps = static_cast<int>(w->dims().threadsPerTb() / 32);
+    std::vector<MemAccess> buf;
+    int64_t steps = 0;
+    for (auto _ : state) {
+        for (TbId tb = 0; tb < 32; ++tb) {
+            for (int wi = 0; wi < warps; ++wi) {
+                for (int64_t step = 0;; ++step) {
+                    buf.clear();
+                    if (!trace->warpStep(tb, wi, step, buf))
+                        break;
+                    ++steps;
+                }
+            }
+        }
+        benchmark::DoNotOptimize(buf.data());
+    }
+    state.SetItemsProcessed(steps);
+    label(state, "steps_per_pass",
+          static_cast<double>(steps) / state.iterations());
+}
+BENCHMARK(BM_CsrWalkStep);
 
 void
 BM_EventQueue(benchmark::State &state)

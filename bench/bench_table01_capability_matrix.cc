@@ -65,7 +65,7 @@ benchMain(int argc, char **argv)
     size_t idx = 0;
     for (const auto &probe : probes) {
         std::printf("%-22s", probe.pattern.c_str());
-        for (const auto &[pname, p] : policies) {
+        for (size_t k = 0; k < policies.size(); ++k) {
             const RunMetrics &m = results[idx++];
             const bool captured = m.offChipPct < probe.threshold;
             std::printf("   %s (%5.1f%%)", captured ? "Y" : "n",

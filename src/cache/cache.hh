@@ -264,11 +264,15 @@ SectoredCache::prefetchSet(Addr addr) const
 inline size_t
 SectoredCache::scanSet(size_t base, uint64_t tag) const
 {
-    for (int i = 0; i < assoc_; ++i) {
-        if ((ways_[base + i] & kTagMask) == tag)
-            return base + i;
-    }
-    return kNoWay;
+    // Every way is compared and a match kept with a select, without an
+    // early exit: a tag is resident in at most one way, so this finds
+    // the way the first-match scan would, and the loop's only branch is
+    // its trip count. On a gather stream the hit position is random, so
+    // an early exit mispredicts.
+    size_t hit = kNoWay;
+    for (int i = 0; i < assoc_; ++i)
+        hit = (ways_[base + i] & kTagMask) == tag ? base + i : hit;
+    return hit;
 }
 
 inline size_t
@@ -328,14 +332,21 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
     }
 
     // The LRU victim, preferring the first empty way: the first
-    // smallest word. Nothing is below an empty way (0), so the scan
-    // stops at one.
+    // smallest word. Ways fill in order, so a set that is not full
+    // almost always has its last way empty; its victim is then the
+    // first empty way. Otherwise one select-based minimum runs over the
+    // whole set: a hole an invalidation left is 0, below every resident
+    // word, and the strict < keeps the first of equal minima.
     size_t victim = base;
-    Way oldest = ways_[base];
-    for (int k = 1; k < assoc_ && oldest != 0; ++k) {
-        if (ways_[base + k] < oldest) {
-            oldest = ways_[base + k];
-            victim = base + k;
+    if (ways_[base + assoc_ - 1] == 0) {
+        while (ways_[victim] != 0)
+            ++victim;
+    } else {
+        Way oldest = ways_[base];
+        for (int k = 1; k < assoc_; ++k) {
+            const Way wk = ways_[base + k];
+            victim = wk < oldest ? base + k : victim;
+            oldest = wk < oldest ? wk : oldest;
         }
     }
     Way &w = ways_[victim];

@@ -68,7 +68,11 @@ SweepRunner::submit(std::function<RunMetrics()> job)
     auto slot = std::make_shared<Slot>();
     slots_.push_back(slot);
 
-    auto task = [slot = std::move(slot), job = std::move(job)] {
+    // The job's records land in the sinks at its submission position,
+    // not where it happens to finish.
+    const uint64_t ticket = telemetry::session().takeTicket();
+    auto task = [slot = std::move(slot), job = std::move(job), ticket] {
+        telemetry::Session::TicketScope scope(ticket);
         try {
             slot->metrics = job();
         } catch (...) {

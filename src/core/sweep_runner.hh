@@ -18,8 +18,9 @@
  *
  * Concurrency contract of the shared substrate:
  *  - telemetry::Session::recordRun() and PhaseProfiler::add() are
- *    mutex-guarded (run *order* in the stats document follows
- *    completion when jobs > 1; per-run contents are unchanged).
+ *    mutex-guarded; each job runs under a session ticket taken at
+ *    submission, so the stats and timeline sinks list runs in
+ *    submission order at any worker count.
  *  - The Chrome tracer is single-writer: resolveJobs() forces jobs = 1
  *    with a logged notice whenever tracing is armed.
  *  - Everything else an experiment touches is constructed per run.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "telemetry/stat_registry.hh"
 
@@ -214,9 +215,13 @@ Network::traceTransfer(telemetry::TraceEmitter &tr, Cycles now,
     tr.processName(telemetry::kPidInterconnect, "interconnect");
     tr.threadName(telemetry::kPidInterconnect, src,
                   "from node" + std::to_string(src));
-    tr.complete("net",
-                "n" + std::to_string(src) + "->n" + std::to_string(dst),
-                telemetry::kPidInterconnect, src, now, now + delay,
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on
+    // "literal" + std::string.
+    std::string name = "n";
+    name.append(std::to_string(src)).append("->n").append(
+        std::to_string(dst));
+    tr.complete("net", std::move(name), telemetry::kPidInterconnect, src,
+                now, now + delay,
                 "{\"bytes\": " + std::to_string(bytes) + "}");
 }
 

@@ -53,7 +53,7 @@ struct ArrayAccess
     /** Execution frequency relative to the kernel's outer loop. */
     AccessFreq freq = AccessFreq::Auto;
     /** Source annotation for reports ("A[Row*W+m*T+tx]"). */
-    std::string note;
+    std::string note{};
 
     /** Resolve Auto: per-iteration iff the index references m. */
     bool

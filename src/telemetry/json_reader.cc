@@ -17,7 +17,7 @@ struct Parser
 {
     const std::string &text;
     size_t pos = 0;
-    std::string err;
+    std::string err{};
     /** Defense against adversarial nesting blowing the parse stack. */
     int depth = 0;
     static constexpr int kMaxDepth = 200;

@@ -192,7 +192,7 @@ struct Parser
 {
     const std::string &s;
     size_t pos = 0;
-    std::string err;
+    std::string err{};
 
     bool
     fail(const std::string &msg)
@@ -261,7 +261,6 @@ struct Parser
     bool
     number()
     {
-        const size_t start = pos;
         if (pos < s.size() && s[pos] == '-')
             ++pos;
         const size_t istart = pos;

@@ -1,5 +1,6 @@
 #include "telemetry/session.hh"
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 
@@ -63,13 +64,46 @@ Session::configure(const TelemetryOptions &opts)
     }
 }
 
+namespace
+{
+
+constexpr uint64_t kNoTicket = ~uint64_t{0};
+thread_local uint64_t tlsTicket = kNoTicket;
+
+/** Insert @p v into @p vals at @p ticket's place, after equal tickets. */
+template <class T>
+void
+insertInTicketOrder(std::vector<T> &vals, std::vector<uint64_t> &tickets,
+                    uint64_t ticket, T v)
+{
+    const auto at = std::upper_bound(tickets.begin(), tickets.end(), ticket);
+    vals.insert(vals.begin() + (at - tickets.begin()), std::move(v));
+    tickets.insert(at, ticket);
+}
+
+} // namespace
+
+Session::TicketScope::TicketScope(uint64_t ticket) : prev_(tlsTicket)
+{
+    tlsTicket = ticket;
+}
+
+Session::TicketScope::~TicketScope() { tlsTicket = prev_; }
+
+uint64_t
+Session::currentTicket()
+{
+    return tlsTicket != kNoTicket ? tlsTicket : takeTicket();
+}
+
 void
 Session::recordRun(RunRecord rec)
 {
     if (!statsActive())
         return;
+    const uint64_t ticket = currentTicket();
     std::lock_guard<std::mutex> lk(runsMu_);
-    runs_.push_back(std::move(rec));
+    insertInTicketOrder(runs_, runTickets_, ticket, std::move(rec));
 }
 
 void
@@ -77,8 +111,9 @@ Session::recordObservation(obs::RunObservation o)
 {
     if (!opts_.timelineEnabled())
         return;
+    const uint64_t ticket = currentTicket();
     std::lock_guard<std::mutex> lk(runsMu_);
-    observations_.push_back(std::move(o));
+    insertInTicketOrder(observations_, obsTickets_, ticket, std::move(o));
 }
 
 void
@@ -231,7 +266,9 @@ Session::resetForTest()
     {
         std::lock_guard<std::mutex> lk(runsMu_);
         runs_.clear();
+        runTickets_.clear();
         observations_.clear();
+        obsTickets_.clear();
     }
     profiler_.clear();
     tracer_.enable(false);

@@ -12,6 +12,7 @@
 #ifndef LADM_TELEMETRY_SESSION_HH
 #define LADM_TELEMETRY_SESSION_HH
 
+#include <atomic>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -56,8 +57,10 @@ struct RunRecord
 /**
  * Thread-safety contract (the sweep runner fans runExperiment() across
  * worker threads): recordRun() and numRuns() are mutex-guarded and may
- * be called concurrently; with jobs > 1 the run *order* in the stats
- * document follows completion order. The phase profiler is likewise
+ * be called concurrently. Runs and observations are kept in ticket
+ * order: SweepRunner takes a ticket per job as it is submitted and runs
+ * the job under it (TicketScope), so the sinks list runs in submission
+ * order at any worker count. The phase profiler is likewise
  * safe (see profile.hh). Everything else -- configure(), finalize(),
  * resetForTest(), writeStatsJson() -- must run with no experiment in
  * flight (before a sweep starts or after it joins). The trace emitter
@@ -83,7 +86,30 @@ class Session
     TraceEmitter &traceEmitter() { return tracer_; }
     PhaseProfiler &phaseProfiler() { return profiler_; }
 
-    /** Append one run's record; safe to call from sweep workers. */
+    /**
+     * The sink position of a job about to be submitted: tickets rise in
+     * the order they are taken. A run recorded outside a TicketScope
+     * takes a fresh one as it is recorded.
+     */
+    uint64_t takeTicket() { return nextTicket_.fetch_add(1); }
+
+    /** Records made on this thread while alive carry @p ticket. */
+    class TicketScope
+    {
+      public:
+        explicit TicketScope(uint64_t ticket);
+        ~TicketScope();
+        TicketScope(const TicketScope &) = delete;
+        TicketScope &operator=(const TicketScope &) = delete;
+
+      private:
+        uint64_t prev_;
+    };
+
+    /**
+     * Insert one run's record at its ticket's position; safe to call
+     * from sweep workers.
+     */
     void recordRun(RunRecord rec);
     size_t
     numRuns() const
@@ -120,10 +146,16 @@ class Session
     TelemetryOptions opts_;
     TraceEmitter tracer_;
     PhaseProfiler profiler_;
-    /** Guards runs_ and observations_ against concurrent sweep workers. */
+    /** This thread's TicketScope ticket, or a fresh one. */
+    uint64_t currentTicket();
+
+    std::atomic<uint64_t> nextTicket_{0};
+    /** Guards the four vectors below against concurrent sweep workers. */
     mutable std::mutex runsMu_;
-    std::vector<RunRecord> runs_;
-    std::vector<obs::RunObservation> observations_;
+    std::vector<RunRecord> runs_;            ///< in ticket order
+    std::vector<uint64_t> runTickets_;       ///< ticket of each run
+    std::vector<obs::RunObservation> observations_; ///< in ticket order
+    std::vector<uint64_t> obsTickets_;       ///< ticket of each one
     bool finalized_ = false;
     bool atexitRegistered_ = false;
 };

@@ -9,11 +9,12 @@
  */
 
 #include <algorithm>
-#include <array>
+#include <bit>
 
 #include "common/bitutils.hh"
 #include "mem/address.hh"
 #include "workloads/catalog.hh"
+#include "workloads/csr_walk.hh"
 #include "workloads/graph_gen.hh"
 #include "workloads/simple_workload.hh"
 
@@ -50,146 +51,6 @@ pushSector(std::vector<MemAccess> &out, Addr addr, bool write)
     out.push_back({sec, write});
 }
 
-/**
- * Per-step (sector, write) dedup for LARGE batches: pushSector()'s
- * linear scan is quadratic in the batch size, which the 32-lane CSR
- * walk (up to ~100 sectors per step) pays on every step -- it showed
- * up as the single hottest workload function in profiles. Generation
- * stamping makes begin() O(1) (no clearing), and first-occurrence
- * order -- which fixes the order accesses issue and book bandwidth --
- * is preserved exactly, so results are bit-identical to the scan.
- */
-class SectorBatch
-{
-  public:
-    /** Start a new step's batch; previous entries expire in O(1). */
-    void begin() { ++gen_; }
-
-    void
-    push(std::vector<MemAccess> &out, Addr addr, bool write)
-    {
-        const Addr sec = sectorBase(addr);
-        // Sector addresses are 32B-aligned, so bit 0 is free to carry
-        // the write flag: one word keys the whole (sector, rw) pair.
-        const uint64_t key = sec | static_cast<uint64_t>(write);
-        size_t i = static_cast<size_t>(
-            (key * 0x9e3779b97f4a7c15ULL) >> (64 - kBits));
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.gen != gen_) {
-                s.gen = gen_;
-                s.key = key;
-                out.push_back({sec, write});
-                return;
-            }
-            if (s.key == key)
-                return;
-            i = (i + 1) & (kSlots - 1);
-        }
-    }
-
-  private:
-    static constexpr int kBits = 9; ///< 512 slots >> max batch (~100)
-    static constexpr size_t kSlots = size_t{1} << kBits;
-    struct Slot
-    {
-        uint64_t gen = 0;
-        uint64_t key = 0;
-    };
-    std::array<Slot, kSlots> slots_{};
-    uint64_t gen_ = 0;
-};
-
-/**
- * CSR edge-walk: thread t owns vertex t; step 0 reads its row pointer,
- * step m >= 1 reads edge m-1 of every still-active lane (the ITL walk
- * through colIdx, an optional parallel edge-value array, and a random
- * gather from the per-vertex value array).
- */
-class CsrWalkTrace : public TraceSource
-{
-  public:
-    CsrWalkTrace(const CsrGraph &g, const LaunchDims &dims, Addr row_base,
-                 Addr col_base, Addr val_base, Addr edge_val_base,
-                 bool writes_val)
-        : g_(g), dims_(dims), rowBase_(row_base), colBase_(col_base),
-          valBase_(val_base), edgeValBase_(edge_val_base),
-          writesVal_(writes_val)
-    {
-    }
-
-    bool
-    warpStep(TbId tb, int warp, int64_t step,
-             std::vector<MemAccess> &out) override
-    {
-        const int64_t v0 = tb * dims_.threadsPerTb() +
-                           static_cast<int64_t>(warp) * 32;
-        if (v0 >= g_.numVertices)
-            return false;
-        const int lanes = static_cast<int>(
-            std::min<int64_t>(32, g_.numVertices - v0));
-
-        // Dedup strategy per stream: rowptr/col/edge addresses are
-        // non-decreasing across lanes (rowPtr is sorted), so duplicate
-        // sectors are always adjacent and a compare with the previous
-        // sector replaces the hash batch. Only the data-dependent val
-        // stream needs real dedup. The streams live in disjoint
-        // allocations, so per-stream dedup emits exactly what the
-        // all-streams batch did, in the same order.
-        if (step == 0) {
-            // Coalesced row-pointer reads (8-byte entries).
-            Addr prev = kInvalidAddr;
-            for (int l = 0; l < lanes; ++l) {
-                const Addr sec = sectorBase(rowBase_ + (v0 + l) * 8);
-                if (sec != prev) {
-                    out.push_back({sec, false});
-                    prev = sec;
-                }
-            }
-            return true;
-        }
-
-        batch_.begin();
-        const int64_t m = step - 1;
-        bool any = false;
-        Addr prev_col = kInvalidAddr;
-        Addr prev_edge = kInvalidAddr;
-        for (int l = 0; l < lanes; ++l) {
-            const int64_t v = v0 + l;
-            if (m >= g_.degree(v))
-                continue;
-            any = true;
-            const int64_t e = g_.rowPtr[v] + m;
-            const Addr col_sec = sectorBase(colBase_ + e * 4);
-            if (col_sec != prev_col) {
-                out.push_back({col_sec, false});
-                prev_col = col_sec;
-            }
-            if (edgeValBase_ != kInvalidAddr) {
-                const Addr edge_sec = sectorBase(edgeValBase_ + e * 4);
-                if (edge_sec != prev_edge) {
-                    out.push_back({edge_sec, false});
-                    prev_edge = edge_sec;
-                }
-            }
-            batch_.push(out, valBase_ + g_.colIdx[e] * 4, writesVal_);
-        }
-        return any;
-    }
-
-    double instrsPerStep() const override { return 12.0; }
-
-  private:
-    const CsrGraph &g_;
-    LaunchDims dims_;
-    Addr rowBase_;
-    Addr colBase_;
-    Addr valBase_;
-    Addr edgeValBase_;
-    bool writesVal_;
-    SectorBatch batch_;
-};
-
 /** Graph workload: SimpleWorkload plumbing + a CSR walk trace. */
 class GraphWorkload : public SimpleWorkload
 {
@@ -225,12 +86,14 @@ class GraphWorkload : public SimpleWorkload
     std::unique_ptr<TraceSource>
     makeTrace(const MallocRegistry &reg) override
     {
-        return std::make_unique<CsrWalkTrace>(
-            graph_, dims_, reg.byPc(argPcs_[argRow_]).base,
-            reg.byPc(argPcs_[argCol_]).base,
-            reg.byPc(argPcs_[argVal_]).base,
-            weighted_ ? reg.byPc(argPcs_[argWt_]).base : kInvalidAddr,
-            writesVal_);
+        CsrLayout layout;
+        layout.rowBase = reg.byPc(argPcs_[argRow_]).base;
+        layout.colBase = reg.byPc(argPcs_[argCol_]).base;
+        layout.valBase = reg.byPc(argPcs_[argVal_]).base;
+        if (weighted_)
+            layout.edgeValBase = reg.byPc(argPcs_[argWt_]).base;
+        layout.writesVal = writesVal_;
+        return std::make_unique<CsrWalkTrace>(graph_, dims_, layout);
     }
 
   private:
@@ -528,6 +391,74 @@ class StreamClusterWorkload : public SimpleWorkload
 };
 
 } // namespace
+
+bool
+CsrWalkTrace::warpStep(TbId tb, int warp, int64_t step,
+                       std::vector<MemAccess> &out)
+{
+    const int64_t v0 =
+        tb * dims_.threadsPerTb() + static_cast<int64_t>(warp) * 32;
+    if (v0 >= g_.numVertices)
+        return false;
+    const int lanes =
+        static_cast<int>(std::min<int64_t>(32, g_.numVertices - v0));
+
+    // Dedup strategy per stream: rowptr/col/edge addresses are
+    // non-decreasing across lanes (rowPtr is sorted), so duplicate
+    // sectors are always adjacent and a compare with the previous
+    // sector replaces the hash batch. Only the data-dependent val
+    // stream needs real dedup. The streams live in disjoint
+    // allocations, so per-stream dedup emits exactly what the
+    // all-streams batch did, in the same order.
+    if (step == 0) {
+        // Coalesced row-pointer reads (8-byte entries).
+        Addr prev = kInvalidAddr;
+        for (int l = 0; l < lanes; ++l) {
+            const Addr sec = sectorBase(layout_.rowBase + (v0 + l) * 8);
+            if (sec != prev) {
+                out.push_back({sec, false});
+                prev = sec;
+            }
+        }
+        return true;
+    }
+
+    // Lane l is active while its vertex has an edge m: one branch-free
+    // compare per lane builds the mask, so the data-dependent degree
+    // test never reaches a branch predictor. The set bits are then
+    // walked in ascending lane order, emitting what a per-lane loop
+    // that skipped inactive lanes emitted, in the same order.
+    const int64_t m = step - 1;
+    const int64_t *row = &g_.rowPtr[v0];
+    uint32_t active = 0;
+    for (int l = 0; l < lanes; ++l)
+        active |= static_cast<uint32_t>(m < row[l + 1] - row[l]) << l;
+    if (active == 0)
+        return false;
+
+    batch_.begin();
+    Addr prev_col = kInvalidAddr;
+    Addr prev_edge = kInvalidAddr;
+    for (; active != 0; active &= active - 1) {
+        const int l = std::countr_zero(active);
+        const int64_t e = row[l] + m;
+        const Addr col_sec = sectorBase(layout_.colBase + e * 4);
+        if (col_sec != prev_col) {
+            out.push_back({col_sec, false});
+            prev_col = col_sec;
+        }
+        if (layout_.edgeValBase != kInvalidAddr) {
+            const Addr edge_sec = sectorBase(layout_.edgeValBase + e * 4);
+            if (edge_sec != prev_edge) {
+                out.push_back({edge_sec, false});
+                prev_edge = edge_sec;
+            }
+        }
+        batch_.push(out, layout_.valBase + g_.colIdx[e] * 4,
+                    layout_.writesVal);
+    }
+    return true;
+}
 
 std::unique_ptr<Workload>
 makePageRank(double scale)

@@ -173,9 +173,11 @@ TEST(FaultPlan, ValidateAgainstMachineShape)
                      .validateAgainst(cfg)
                      .empty());
     std::string all;
-    for (int n = 0; n < cfg.numNodes(); ++n)
-        all += (n ? ";" : "") + std::string("chiplet:") +
-               std::to_string(n) + ":fail@0";
+    for (int n = 0; n < cfg.numNodes(); ++n) {
+        all += n ? ";chiplet:" : "chiplet:";
+        all += std::to_string(n);
+        all += ":fail@0";
+    }
     EXPECT_FALSE(
         check::FaultPlan::parse(all).validateAgainst(cfg).empty());
 }

@@ -225,8 +225,9 @@ TEST_P(ExprPropertyTest, VariantInvariantPartition)
     EXPECT_EQ(e.loopVariant() + e.loopInvariant(), e);
     EXPECT_FALSE(e.loopInvariant().dependsOn(Var::M));
     // Every variant term references m, so divByM round-trips.
-    if (!e.loopVariant().isZero())
+    if (!e.loopVariant().isZero()) {
         EXPECT_EQ(e.loopVariant().divByM() * m, e.loopVariant());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExprPropertyTest,

@@ -676,6 +676,27 @@ class SoaCacheRef
         return dirty;
     }
 
+    /** Which arm of SectoredCache's victim choice a line miss takes. */
+    enum class VictimArm
+    {
+        LastWayEmpty, ///< set not full: the first empty way
+        Hole,         ///< last way full, an invalidation hole earlier
+        Lru,          ///< set full: the least recently used way
+    };
+
+    /** The arm an allocating line miss on @p addr would take now. */
+    VictimArm
+    victimArm(Addr addr) const
+    {
+        const size_t base = setIndex(lineBase(addr)) * assoc_;
+        if (tags_[base + assoc_ - 1] == kNoLine)
+            return VictimArm::LastWayEmpty;
+        for (int i = 0; i < assoc_; ++i)
+            if (tags_[base + i] == kNoLine)
+                return VictimArm::Hole;
+        return VictimArm::Lru;
+    }
+
   private:
     static constexpr Addr kNoLine = ~Addr{0};
     struct WayMeta
@@ -712,11 +733,20 @@ enum class Stream
     LineRuns, ///< mostly the previous op's line, as a warp step's sectors
 };
 
+/** Allocating line misses per arm of the victim choice. */
+struct VictimArms
+{
+    uint64_t lastWayEmpty = 0; ///< the set's last way was empty
+    uint64_t hole = 0;         ///< last way full, a hole before it
+};
+
 /**
  * Drive both caches with one random op stream over a line pool a few
  * times the cache's capacity, comparing every result, every EvictInfo
- * (which pins the victim order), and the hit counter. A third of the
- * way in, the cache under test goes through a checkpoint round trip
+ * (which pins the victim order), and the hit counter. Each allocating
+ * line miss is counted into @p arms by the arm of the victim choice it
+ * takes, so a caller can require both non-LRU arms to run. A third of
+ * the way in, the cache under test goes through a checkpoint round trip
  * (which resets its way memo). With @p wrap, the cache under test
  * starts its LRU clock just below the stamp limit, so it renumbers its
  * stamps about 70% of the way through the stream, between two flushes,
@@ -729,7 +759,8 @@ enum class Stream
  */
 void
 runCacheDifferential(Bytes size, int assoc, uint64_t seed,
-                     Stream stream = Stream::Uniform, bool wrap = false)
+                     Stream stream = Stream::Uniform, bool wrap = false,
+                     VictimArms *arms = nullptr)
 {
     SectoredCache c(size, assoc, "dut");
     SoaCacheRef ref(size, assoc);
@@ -785,9 +816,15 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed,
             const bool write = rng.nextBounded(4) == 0;
             const bool alloc = rng.nextBounded(8) != 0;
             EvictInfo eg, ew;
+            const SoaCacheRef::VictimArm arm = ref.victimArm(a);
             const AccessResult got = c.access(a, write, alloc, &eg);
             const AccessResult want = ref.access(a, write, alloc, &ew);
             ASSERT_EQ(got, want) << "op " << op;
+            if (arms && alloc && want == AccessResult::Miss) {
+                arms->lastWayEmpty +=
+                    arm == SoaCacheRef::VictimArm::LastWayEmpty;
+                arms->hole += arm == SoaCacheRef::VictimArm::Hole;
+            }
             ASSERT_EQ(eg.evicted, ew.evicted) << "op " << op;
             ASSERT_EQ(eg.lineAddr, ew.lineAddr) << "op " << op;
             ASSERT_EQ(eg.dirtyMask, ew.dirtyMask) << "op " << op;
@@ -829,14 +866,26 @@ runCacheDifferential(Bytes size, int assoc, uint64_t seed,
 
 TEST(CacheEquivalence, L1GeometryMatchesSoaReference)
 {
-    runCacheDifferential(64 * 1024, 4, 1); // 128 sets, power of two
-    runCacheDifferential(64 * 1024, 4, 11, Stream::LineRuns);
+    VictimArms arms;
+    runCacheDifferential(64 * 1024, 4, 1, Stream::Uniform, false,
+                         &arms); // 128 sets, power of two
+    runCacheDifferential(64 * 1024, 4, 11, Stream::LineRuns, false, &arms);
+    // Both non-LRU arms of the victim choice must run thousands of
+    // times, so a wrong victim in either fails an EvictInfo compare.
+    EXPECT_GT(arms.lastWayEmpty, 3000u);
+    EXPECT_GT(arms.hole, 3000u);
 }
 
 TEST(CacheEquivalence, L2GeometryMatchesSoaReference)
 {
-    runCacheDifferential(1 << 20, 16, 2); // 512 sets, 256-byte sets
-    runCacheDifferential(1 << 20, 16, 12, Stream::LineRuns);
+    VictimArms arms;
+    runCacheDifferential(1 << 20, 16, 2, Stream::Uniform, false,
+                         &arms); // 512 sets, 256-byte sets
+    runCacheDifferential(1 << 20, 16, 12, Stream::LineRuns, false, &arms);
+    // Both non-LRU arms of the victim choice must run thousands of
+    // times, so a wrong victim in either fails an EvictInfo compare.
+    EXPECT_GT(arms.lastWayEmpty, 3000u);
+    EXPECT_GT(arms.hole, 3000u);
 }
 
 TEST(CacheEquivalence, OddGeometriesMatchSoaReference)
