@@ -383,16 +383,19 @@ BM_CsrWalkStep(benchmark::State &state)
 }
 BENCHMARK(BM_CsrWalkStep);
 
+template <class Key>
 void
 BM_EventQueue(benchmark::State &state)
 {
-    // The serial engine's heap at 16K live warps: each step pops the
-    // earliest warp and re-files it one compute gap to one memory round
-    // trip later, so the live set stays constant.
-    constexpr uint32_t kWarps = 16 * 1024;
-    EventQueue q(EventQueue::Mode::Heap);
+    // An engine lane's queue at state.range(0) live warps: each step pops
+    // the earliest warp and re-files it one compute gap to one memory
+    // round trip later, so the live set stays constant. The serial lane
+    // holds 16K+ warps in 8-byte entries; a sharded lane at most 1024
+    // (16 SMs x 64 slots) in 16-byte ones.
+    const auto warps = static_cast<uint32_t>(state.range(0));
+    EventQueue<Key> q;
     Rng rng(7);
-    for (uint32_t w = 0; w < kWarps; ++w)
+    for (uint32_t w = 0; w < warps; ++w)
         q.push(rng.nextBounded(1000), w);
     std::vector<Cycles> delays(4096);
     for (Cycles &d : delays)
@@ -403,8 +406,10 @@ BM_EventQueue(benchmark::State &state)
         q.push(ev.time + delays[i++ & 4095], ev.warp);
     }
     benchmark::DoNotOptimize(q.size());
+    label(state, "entry_bytes", sizeof(Key));
 }
-BENCHMARK(BM_EventQueue);
+BENCHMARK_TEMPLATE(BM_EventQueue, uint64_t)->Arg(16 * 1024)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_EventQueue, uint128_t)->Arg(1024);
 
 void
 BM_NetworkRouteDelay(benchmark::State &state)

@@ -11,7 +11,6 @@ toString(StatKind k)
 {
     switch (k) {
       case StatKind::Counter: return "counter";
-      case StatKind::Average: return "average";
       case StatKind::Histogram: return "histogram";
       case StatKind::Gauge: return "gauge";
       case StatKind::Formula: return "formula";
@@ -19,8 +18,8 @@ toString(StatKind k)
     return "?";
 }
 
-Histogram::Histogram(uint64_t bucket_width, size_t num_buckets)
-    : bucketWidth_(bucket_width ? bucket_width : 1), buckets_(num_buckets, 0)
+Histogram::Histogram(uint64_t width, size_t num_buckets)
+    : bucketWidth_(width ? width : 1), buckets_(num_buckets, 0)
 {
 }
 
@@ -166,19 +165,13 @@ StatGroup::counter(const std::string &name)
     return counters_[name];
 }
 
-Average &
-StatGroup::average(const std::string &name)
-{
-    return averages_[name];
-}
-
 Histogram &
-StatGroup::histogram(const std::string &name, uint64_t bucket_width,
+StatGroup::histogram(const std::string &name, uint64_t width,
                      size_t num_buckets)
 {
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
-        it = histograms_.emplace(name, Histogram(bucket_width, num_buckets))
+        it = histograms_.emplace(name, Histogram(width, num_buckets))
                  .first;
     }
     return it->second;
@@ -202,38 +195,10 @@ StatGroup::reset()
 {
     for (auto &[k, c] : counters_)
         c.reset();
-    for (auto &[k, a] : averages_)
-        a.reset();
     for (auto &[k, h] : histograms_)
         h.reset();
     for (auto &[k, h] : logHistograms_)
         h.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[k, c] : counters_)
-        os << name_ << "." << k << " " << c.value() << "\n";
-    for (const auto &[k, a] : averages_)
-        os << name_ << "." << k << " " << a.mean() << "\n";
-    for (const auto &[k, h] : histograms_) {
-        os << name_ << "." << k << ".samples " << h.totalSamples() << "\n";
-        os << name_ << "." << k << ".mean " << h.mean() << "\n";
-        for (size_t i = 0; i < h.numBuckets(); ++i) {
-            os << name_ << "." << k << ".bucket" << i << " "
-               << h.bucketCount(i) << "\n";
-        }
-        os << name_ << "." << k << ".overflow " << h.overflow() << "\n";
-    }
-    for (const auto &[k, h] : logHistograms_) {
-        os << name_ << "." << k << ".samples " << h.totalSamples() << "\n";
-        os << name_ << "." << k << ".mean " << h.mean() << "\n";
-        os << name_ << "." << k << ".p50 " << h.percentile(0.50) << "\n";
-        os << name_ << "." << k << ".p95 " << h.percentile(0.95) << "\n";
-        os << name_ << "." << k << ".p99 " << h.percentile(0.99) << "\n";
-        os << name_ << "." << k << ".max " << h.maxValue() << "\n";
-    }
 }
 
 void
@@ -242,13 +207,6 @@ StatGroup::visit(const std::function<void(const std::string &, double,
 {
     for (const auto &[k, c] : counters_)
         fn(k, static_cast<double>(c.value()), StatKind::Counter);
-    for (const auto &[k, a] : averages_) {
-        // "_samples", not ".samples": a dotted suffix would make the JSON
-        // exporter nest an object under a key that already holds the mean.
-        fn(k, a.mean(), StatKind::Average);
-        fn(k + "_samples", static_cast<double>(a.count()),
-           StatKind::Counter);
-    }
     for (const auto &[k, h] : histograms_) {
         fn(k + ".samples", static_cast<double>(h.totalSamples()),
            StatKind::Counter);

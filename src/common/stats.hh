@@ -1,9 +1,9 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, means, and
- * histograms grouped under a StatGroup for dump/reset at experiment
- * boundaries. Inspired by gem5's stats package, reduced to the pieces the
- * LADM experiments actually need.
+ * Lightweight statistics package: named scalar counters and histograms
+ * grouped under a StatGroup for reset at experiment boundaries.
+ * Inspired by gem5's stats package, reduced to the pieces the LADM
+ * experiments actually need.
  *
  * StatGroups are the leaves of the hierarchical telemetry registry
  * (telemetry/stat_registry.hh); visit() is the enumeration hook the
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ namespace ladm
 enum class StatKind
 {
     Counter,   ///< monotonically accumulated; deltas subtract
-    Average,   ///< running mean; deltas take the newest value
     Histogram, ///< bucketed sample counts; deltas subtract per bucket
     Gauge,     ///< pull-based instantaneous value; deltas take the newest
     Formula,   ///< derived from other stats; deltas take the newest
@@ -56,29 +54,11 @@ class Counter
     uint64_t value_ = 0;
 };
 
-/** Running mean of sampled values. */
-class Average
-{
-  public:
-    void sample(double v) { sum_ += v; ++count_; }
-    void reset() { sum_ = 0; count_ = 0; }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    uint64_t count() const { return count_; }
-
-    /** Checkpoint support (snapshot/component_state.cc). */
-    template <class Ar> void io(Ar &ar);
-
-  private:
-    double sum_ = 0.0;
-    uint64_t count_ = 0;
-};
-
 /** Fixed-bucket histogram over [0, max) with overflow bucket. */
 class Histogram
 {
   public:
-    Histogram(uint64_t bucket_width = 1, size_t num_buckets = 16);
+    Histogram(uint64_t width = 1, size_t num_buckets = 16);
 
     /** Inline: sampled once per warp step on the engine's hot loop. */
     void
@@ -203,7 +183,8 @@ class LogHistogram
 
 /**
  * A named collection of counters for one simulated component. Components
- * register their stats here; the experiment harness dumps the whole group.
+ * register their stats here; the registry's exporters read them through
+ * visit().
  */
 class StatGroup
 {
@@ -212,14 +193,12 @@ class StatGroup
 
     /** Fetch (creating on first use) the counter with the given name. */
     Counter &counter(const std::string &name);
-    /** Fetch (creating on first use) the running average with given name. */
-    Average &average(const std::string &name);
     /**
      * Fetch (creating on first use) the histogram with the given name.
      * Shape parameters apply only on first use; later fetches return the
      * existing histogram unchanged.
      */
-    Histogram &histogram(const std::string &name, uint64_t bucket_width = 1,
+    Histogram &histogram(const std::string &name, uint64_t width = 1,
                          size_t num_buckets = 16);
     /** Fetch (creating on first use) the log2 histogram with given name. */
     LogHistogram &logHistogram(const std::string &name);
@@ -228,7 +207,6 @@ class StatGroup
     uint64_t get(const std::string &name) const;
 
     void reset();
-    void dump(std::ostream &os) const;
 
     /**
      * Enumerate every published scalar as (name, value, kind), in sorted
@@ -236,7 +214,7 @@ class StatGroup
      * <name>.max / <name>.p50 / <name>.p95 / <name>.p99 / <name>.bucket<i>
      * / <name>.overflow / <name>.overflow_frac entries; log histograms to
      * <name>.samples / <name>.mean / <name>.max / <name>.p50 / <name>.p95
-     * / <name>.p99; averages to <name> (the mean) and <name>_samples.
+     * / <name>.p99.
      */
     void visit(const std::function<void(const std::string &, double,
                                         StatKind)> &fn) const;
@@ -264,7 +242,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Average> averages_;
     std::map<std::string, Histogram> histograms_;
     std::map<std::string, LogHistogram> logHistograms_;
 };

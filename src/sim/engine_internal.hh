@@ -1,12 +1,13 @@
 /**
  * @file
  * The event-loop lane shared by the kernel engine's two loops: the
- * serial reference (sim/kernel_engine.cc) runs one machine-wide lane
- * with a heap queue, drained with an unbounded window and inline memory
- * access; the sharded conservative-PDES loop (sim/sharded_engine.cc)
- * runs one calendar-queue lane per NUMA node in time windows. Both
- * dispatch, retire and pace warps through the same Lane code. Internal
- * to the engine -- nothing outside sim/ should include this.
+ * serial reference (sim/kernel_engine.cc) runs one machine-wide lane,
+ * drained with an unbounded window and inline memory access; the
+ * sharded conservative-PDES loop (sim/sharded_engine.cc) runs one lane
+ * per NUMA node in time windows. Both dispatch, retire and pace warps
+ * through the same Lane code; they differ only in the queue's entry
+ * width, i.e. its tie order (sim/event_queue.hh). Internal to the
+ * engine -- nothing outside sim/ should include this.
  */
 
 #ifndef LADM_SIM_ENGINE_INTERNAL_HH
@@ -96,18 +97,24 @@ stepOnly(Step step)
     return {{}, {}, {}, std::move(step)};
 }
 
+/** The serial lane's queue: 8-byte entries, priority_queue tie order. */
+using SerialQueue = EventQueue<uint64_t>;
+/** The sharded lanes' queue: 16-byte entries, FIFO tie order. */
+using PdesQueue = EventQueue<uint128_t>;
+
 /**
  * A slice of the machine with its own event queue: a contiguous range
  * of nodes and their SMs, with the warps running on them. Between
  * barriers exactly one thread touches a lane.
  */
+template <class Queue>
 struct alignas(64) Lane
 {
     NodeId nodeLo = 0;
     SmId smLo = 0;
     std::vector<size_t> cursor; ///< dispatch position, per node - nodeLo
 
-    EventQueue pq;
+    Queue pq;
     /** One-slot lookahead buffer (EventQueue has no peek). */
     bool hasHeld = false;
     WarpEvent held{0, 0};
@@ -128,10 +135,10 @@ struct alignas(64) Lane
     Histogram hist{8, 32};
 
     /** Nodes [node_lo, node_lo + nodes) and their SMs [sm_lo, +sms). */
-    Lane(EventQueue::Mode mode, Cycles bucket_width, NodeId node_lo,
-         int nodes, SmId sm_lo, int num_sms, int warp_slots)
+    Lane(NodeId node_lo, int nodes, SmId sm_lo, int num_sms,
+         int warp_slots)
         : nodeLo(node_lo), smLo(sm_lo),
-          cursor(static_cast<size_t>(nodes), 0), pq(mode, bucket_width),
+          cursor(static_cast<size_t>(nodes), 0),
           sms(static_cast<size_t>(num_sms), SmState{0, warp_slots})
     {
     }
@@ -255,7 +262,7 @@ struct alignas(64) Lane
                 hasHeld = true;
                 // This step's trace and memory work hides the miss on
                 // the next warp's state (the heap can name it cheaply).
-                if (pq.mode() == EventQueue::Mode::Heap && !pq.empty())
+                if (!pq.empty())
                     __builtin_prefetch(&warps[pq.nextWarp()]);
             }
             if (held.time >= wend)

@@ -19,6 +19,8 @@ namespace ladm
 
 using engine_detail::Lane;
 using engine_detail::Launch;
+using engine_detail::PdesQueue;
+using engine_detail::SerialQueue;
 using engine_detail::SmState;
 using engine_detail::WarpState;
 
@@ -222,9 +224,9 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     }
 
     Launch launch = makeLaunch(dims, node_queues);
-    Lane lane(EventQueue::Mode::Heap, std::max<Cycles>(launch.gap, 1), 0,
-              num_nodes, 0, cfg_.totalSms(), cfg_.warpSlotsPerSm);
-    const std::vector<Lane *> lanes{&lane};
+    Lane<SerialQueue> lane(0, num_nodes, 0, cfg_.totalSms(),
+                           cfg_.warpSlotsPerSm);
+    const std::vector<Lane<SerialQueue> *> lanes{&lane};
 
     auto &tr = telemetry::tracer();
     const bool tracing = tr.enabled();
@@ -390,6 +392,7 @@ KernelEngine::makeLaunch(const LaunchDims &dims,
             {}};
 }
 
+template <class Lane>
 KernelEngine::LaneBase
 KernelEngine::laneBase(const std::vector<Lane *> &lanes) const
 {
@@ -405,6 +408,7 @@ KernelEngine::laneBase(const std::vector<Lane *> &lanes) const
     return b;
 }
 
+template <class Lane>
 KernelRunStats
 KernelEngine::finishRun(const LaunchDims &dims, TraceSource &trace,
                         Cycles start, const std::vector<Lane *> &lanes,
@@ -433,9 +437,10 @@ KernelEngine::finishRun(const LaunchDims &dims, TraceSource &trace,
     return stats;
 }
 
+template <class Queue>
 template <class Ar>
 void
-Lane::io(Ar &ar)
+Lane<Queue>::io(Ar &ar)
 {
     ar.fixed(cursor, "lane nodes");
     ar(hasHeld, held, warps, freeWarps);
@@ -462,7 +467,7 @@ KernelEngine::io(Ar &ar)
 }
 LADM_SERIAL_INSTANTIATE(KernelEngine);
 
-template <class Ar>
+template <class Ar, class Lane>
 void
 KernelEngine::loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
                      const std::vector<Lane *> &lanes)
@@ -484,9 +489,8 @@ KernelEngine::loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
     ar.fixed(launch.tbWarpsLeft, "threadblocks");
     ar.fixed(lanes, "engine lanes");
 }
-template void KernelEngine::loopIo(serial::Writer &, bool, Cycles &,
-                                   Launch &, const std::vector<Lane *> &);
 
+template <class Lane>
 Cycles
 KernelEngine::resumeLoop(bool sharded, Launch &launch,
                          const std::vector<Lane *> &lanes)
@@ -501,5 +505,19 @@ KernelEngine::resumeLoop(bool sharded, Launch &launch,
     ckpt_->noteResumed(clock);
     return clock;
 }
+
+// The sharded loop (sharded_engine.cc) runs these on its node lanes.
+template KernelEngine::LaneBase
+KernelEngine::laneBase(const std::vector<Lane<PdesQueue> *> &) const;
+template KernelRunStats
+KernelEngine::finishRun(const LaunchDims &, TraceSource &, Cycles,
+                        const std::vector<Lane<PdesQueue> *> &,
+                        const LaneBase &);
+template void KernelEngine::loopIo(serial::Writer &, bool, Cycles &,
+                                   Launch &,
+                                   const std::vector<Lane<PdesQueue> *> &);
+template Cycles
+KernelEngine::resumeLoop(bool, Launch &,
+                         const std::vector<Lane<PdesQueue> *> &);
 
 } // namespace ladm

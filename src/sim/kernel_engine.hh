@@ -40,7 +40,6 @@ class Checkpointer;
 }
 namespace engine_detail
 {
-struct Lane;
 struct Launch;
 } // namespace engine_detail
 
@@ -165,7 +164,6 @@ class KernelEngine
         const std::vector<std::vector<TbId>> &node_queues, Cycles start,
         bool resume);
 
-    using Lane = engine_detail::Lane;
     using Launch = engine_detail::Launch;
 
     /** The launch-wide state both loops hand to their lanes. */
@@ -180,9 +178,11 @@ class KernelEngine
         uint64_t sectorAccesses;
         uint64_t lateEvents;
     };
+    template <class Lane>
     LaneBase laneBase(const std::vector<Lane *> &lanes) const;
 
     /** Fold the lanes into the run's stats and the cumulative counters. */
+    template <class Lane>
     KernelRunStats finishRun(const LaunchDims &dims, TraceSource &trace,
                              Cycles start, const std::vector<Lane *> &lanes,
                              const LaneBase &base);
@@ -192,10 +192,11 @@ class KernelEngine
      * loop kind, the loop clock (serial: last event cycle; sharded: the
      * advanced window end), TB countdown and every lane.
      */
-    template <class Ar>
+    template <class Ar, class Lane>
     void loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
                 const std::vector<Lane *> &lanes);
     /** Restore the armed checkpoint's loop image; returns its clock. */
+    template <class Lane>
     Cycles resumeLoop(bool sharded, Launch &launch,
                       const std::vector<Lane *> &lanes);
 

@@ -5,15 +5,15 @@
  * The serial engine (kernel_engine.cc) drains one machine-wide lane
  * (sim/engine_internal.hh) through a global min-heap. This loop instead
  * partitions the machine by NUMA node: each node gets its own lane --
- * calendar event queue, warp pool, SM occupancy state -- plus a
- * MemorySystem shard lane, and lanes are grouped onto worker threads
- * ("shards") by
- * sched/shard_map.hh. Threads synchronize on conservative time windows
- * (classic PDES): no cross-node transfer completes in less than the
- * minimum cross-node link latency L, so every lane may simulate
- * [W, W+L) without seeing the others. Cross-node memory work issued in
- * a window is deferred (MemorySystem::shardAccess) and executed in a
- * canonical shard-count-independent order at the window barrier
+ * event queue with FIFO tie order, warp pool, SM occupancy state --
+ * plus a MemorySystem shard lane, and lanes are grouped onto worker
+ * threads ("shards") by sched/shard_map.hh. Threads synchronize on
+ * conservative time windows (classic PDES): no cross-node transfer
+ * completes in less than the minimum cross-node link latency L, so
+ * every lane may simulate [W, W+L) without seeing the others.
+ * Cross-node memory work issued in a window is deferred
+ * (MemorySystem::shardAccess) and executed in a canonical
+ * shard-count-independent order at the window barrier
  * (MemorySystem::executeShardOps); the steps that waited on it resolve
  * right after, in the same window.
  *
@@ -34,7 +34,7 @@
  * the window) simply runs in the NEXT window with its true timestamp.
  * Such "late" events give bandwidth servers a slightly different --
  * but equally valid -- simultaneity order than the serial engine, the
- * same class of divergence as the calendar queue's FIFO tie order; the
+ * same class of divergence as the lanes' FIFO tie order; the
  * skew is bounded by one window. Results are therefore not bit-equal
  * to the serial heap reference, but they ARE bit-equal across shard
  * counts: every per-lane decision is lane-sequential and every
@@ -80,7 +80,7 @@ struct Waiter
  * acquire/release ordering covers every cross-phase read (see
  * common/spin_barrier.hh).
  */
-struct PdesLane : engine_detail::Lane
+struct PdesLane : engine_detail::Lane<engine_detail::PdesQueue>
 {
     using Lane::Lane;
     MemorySystem::ShardLane mlane;
@@ -101,20 +101,17 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
     const ShardMap map = buildShardMap(cfg_, num_shards);
     Launch launch = makeLaunch(dims, node_queues);
 
-    // Calendar mode, not Heap: FIFO among equal times is reproducible
-    // under the re-held insertion below, and per-lane queues are what
-    // the calendar's dense-timestamp assumption wants.
+    // FIFO among equal times (16-byte queue entries) keeps the order
+    // reproducible under the re-held insertion below.
     std::vector<PdesLane> lanes;
     lanes.reserve(static_cast<size_t>(num_nodes));
-    std::vector<Lane *> lane_ptrs;
+    std::vector<PdesLane::Lane *> lane_ptrs;
     for (NodeId n = 0; n < num_nodes; ++n) {
         const auto lo = static_cast<SmId>(
             std::find(smNode_.begin(), smNode_.end(), n) - smNode_.begin());
         const auto count = static_cast<int>(
             std::count(smNode_.begin(), smNode_.end(), n));
-        lanes.emplace_back(EventQueue::Mode::Calendar,
-                           std::max<Cycles>(launch.gap, 1), n, 1, lo,
-                           count, cfg_.warpSlotsPerSm);
+        lanes.emplace_back(n, 1, lo, count, cfg_.warpSlotsPerSm);
         lane_ptrs.push_back(&lanes.back());
     }
 

@@ -9,9 +9,9 @@
  *
  * Conventions:
  *
- *  - Configuration-derived members (sizes, associativities, latencies,
- *    bucket widths) are NOT serialized; the config fingerprint in the
- *    header guarantees the restoring run derives identical values.
+ *  - Configuration-derived members (sizes, associativities, latencies)
+ *    are NOT serialized; the config fingerprint in the header
+ *    guarantees the restoring run derives identical values.
  *    Containers the configuration sizes go through ar.fixed(), which
  *    stores the length and refuses a mismatch on load, so a fingerprint
  *    collision surfaces as a SimError, not memory stomping.
@@ -69,13 +69,6 @@ Counter::io(Ar &ar)
 
 template <class Ar>
 void
-Average::io(Ar &ar)
-{
-    ar(sum_, count_);
-}
-
-template <class Ar>
-void
 Histogram::io(Ar &ar)
 {
     ar(bucketWidth_, buckets_, overflow_, total_, sum_, max_);
@@ -96,7 +89,6 @@ StatGroup::io(Ar &ar)
     // restoring process registered but the checkpoint lacks keep their
     // fresh (zero) state.
     ar.merge(counters_);
-    ar.merge(averages_);
     ar.merge(histograms_);
     ar.merge(logHistograms_);
 }
@@ -173,37 +165,34 @@ WarpEvent::io(Ar &ar)
 
 template <class Ar>
 void
-EventQueue::Entry::io(Ar &ar)
+QueuedEvent::io(Ar &ar)
 {
     ar(time, seq, warp);
 }
 
+template <class Key>
 template <class Ar>
 void
-EventQueue::io(Ar &ar)
+EventQueue<Key>::io(Ar &ar)
 {
-    bool calendar = mode_ == Mode::Calendar;
-    ar(calendar);
-    ar.expect(calendar, mode_ == Mode::Calendar, "event queue mode");
     // The heap's STRUCTURAL order (not just its multiset of events) is
-    // serialized, as (time, warp) pairs in array order: equal-time pops
-    // follow the layout. Heap mode carries the calendar fields too, all
-    // empty or zero.
-    std::vector<WarpEvent> heap;
+    // serialized, in array order: equal-time 8-byte entries pop by the
+    // layout. A load re-packs each entry, so the entry width's limits
+    // (pack()) refuse what the queue could not have held.
+    std::vector<QueuedEvent> heap;
     if constexpr (!Ar::kLoading) {
-        heap.reserve(heap_.size() - 1);
-        for (size_t i = 1; i < heap_.size(); ++i)
-            heap.push_back(unpack(heap_[i]));
+        heap.reserve(size_);
+        for (size_t i = 1; i <= size_; ++i)
+            heap.push_back({timeOf(heap_[i]), seqOf(heap_[i]),
+                            slotOf(heap_[i])});
     }
-    ar(size_, heap, cursor_, yearStart_, inYear_, seq_, overflow_);
+    ar(seq_, heap);
     if constexpr (Ar::kLoading) {
-        ar.expect(heap.size(), mode_ == Mode::Heap ? size_ : size_t{0},
-                  "event heap size");
+        size_ = heap.size();
         heap_.resize(1);
-        for (const WarpEvent &ev : heap)
-            heap_.push_back(pack(ev.time, ev.warp));
+        for (const QueuedEvent &ev : heap)
+            heap_.push_back(pack(ev.time, ev.seq, ev.warp));
     }
-    ar.fixed(buckets_, "calendar buckets");
 }
 
 // --- sim/mshr_table.hh ------------------------------------------------------
@@ -349,7 +338,8 @@ LADM_SERIAL_INSTANTIATE(telemetry::StatRegistry);
 LADM_SERIAL_INSTANTIATE(telemetry::KernelRecord);
 LADM_SERIAL_INSTANTIATE(obs::Timeline);
 LADM_SERIAL_INSTANTIATE(WarpEvent);
-LADM_SERIAL_INSTANTIATE(EventQueue);
+LADM_SERIAL_INSTANTIATE(EventQueue<uint64_t>);
+LADM_SERIAL_INSTANTIATE(EventQueue<uint128_t>);
 LADM_SERIAL_INSTANTIATE(SectoredCache);
 LADM_SERIAL_INSTANTIATE(PageTable);
 LADM_SERIAL_INSTANTIATE(MemorySystem);

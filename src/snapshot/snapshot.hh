@@ -4,8 +4,8 @@
  *
  * A checkpoint is a sectioned binary image (common/serial.hh) of the
  * complete simulator state at an event-loop *safe point*: engine loop
- * position and warp states, event-queue contents (heap or calendar,
- * including per-shard PDES lanes and their window clock), cache SoA
+ * position and warp states, event-queue heaps (including per-shard
+ * PDES lanes and their window clock), cache SoA
  * arrays, MSHRs, page-table segments + exception overlay, bandwidth
  * servers, and the telemetry registry's eager counters. A run killed at
  * cycle N and resumed with --resume is bit-identical -- metrics, sinks,

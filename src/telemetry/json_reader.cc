@@ -172,25 +172,51 @@ struct Parser
     }
 
     bool
+    at(char c) const
+    {
+        return pos < text.size() && text[pos] == c;
+    }
+
+    /** Consume a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        const size_t start = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos > start;
+    }
+
+    /** RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
+    bool
     parseNumber(JsonValue &out)
     {
         const size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
+        if (at('-'))
             ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '+' || text[pos] == '-')) {
+        if (at('0')) {
             ++pos;
+            if (digits())
+                return fail("leading zero in number");
+        } else if (!digits()) {
+            return fail(pos == start ? "expected value"
+                                     : "expected digit after '-'");
         }
-        if (pos == start)
-            return fail("expected value");
-        const std::string tok = text.substr(start, pos - start);
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size())
-            return fail("malformed number '" + tok + "'");
-        out = JsonValue::makeNumber(v);
+        if (at('.')) {
+            ++pos;
+            if (!digits())
+                return fail("expected digit after '.'");
+        }
+        if (at('e') || at('E')) {
+            ++pos;
+            if (at('+') || at('-'))
+                ++pos;
+            if (!digits())
+                return fail("expected digit in exponent");
+        }
+        out = JsonValue::makeNumber(
+            std::strtod(text.substr(start, pos - start).c_str(), nullptr));
         return true;
     }
 

@@ -7,7 +7,8 @@
  * dependencies, so this is the smallest recursive-descent parser that
  * round-trips them: the six JSON value kinds, doubles for all numbers
  * (our writer never emits integers above 2^53), and object key order
- * preserved for stable report rendering.
+ * preserved for stable report rendering. The grammar is RFC 8259's,
+ * strictly: validateJson() (json_writer.hh) is this parser.
  */
 
 #ifndef LADM_TELEMETRY_JSON_READER_HH

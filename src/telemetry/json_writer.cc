@@ -1,10 +1,10 @@
 #include "telemetry/json_writer.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "telemetry/json_reader.hh"
 
 namespace ladm
 {
@@ -183,204 +183,11 @@ JsonWriter::raw(const std::string &json)
     return *this;
 }
 
-// --- validator --------------------------------------------------------------
-
-namespace
-{
-
-struct Parser
-{
-    const std::string &s;
-    size_t pos = 0;
-    std::string err{};
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = "at byte " + std::to_string(pos) + ": " + msg;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    literal(const char *lit)
-    {
-        for (const char *p = lit; *p; ++p, ++pos) {
-            if (pos >= s.size() || s[pos] != *p)
-                return fail(std::string("expected '") + lit + "'");
-        }
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (pos >= s.size() || s[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        while (pos < s.size()) {
-            const char c = s[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("raw control char in string");
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return fail("dangling escape");
-                const char e = s[pos];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos;
-                        if (pos >= s.size() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(s[pos])))
-                            return fail("bad \\u escape");
-                    }
-                } else if (std::string("\"\\/bfnrt").find(e) ==
-                           std::string::npos) {
-                    return fail("bad escape");
-                }
-            }
-            ++pos;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number()
-    {
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        const size_t istart = pos;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos])))
-            ++pos;
-        if (pos == istart)
-            return fail("expected number");
-        if (s[istart] == '0' && pos > istart + 1)
-            return fail("leading zero");
-        if (pos < s.size() && s[pos] == '.') {
-            ++pos;
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos])))
-                ++pos;
-        }
-        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
-            ++pos;
-            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
-                ++pos;
-            const size_t dstart = pos;
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos])))
-                ++pos;
-            if (pos == dstart)
-                return fail("bad exponent");
-        }
-        return true;
-    }
-
-    bool
-    value(int depth)
-    {
-        if (depth > 256)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos >= s.size())
-            return fail("unexpected end of input");
-        const char c = s[pos];
-        if (c == '{') {
-            ++pos;
-            skipWs();
-            if (pos < s.size() && s[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (pos >= s.size() || s[pos] != ':')
-                    return fail("expected ':'");
-                ++pos;
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos < s.size() && s[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < s.size() && s[pos] == '}') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            skipWs();
-            if (pos < s.size() && s[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos < s.size() && s[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < s.size() && s[pos] == ']') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-};
-
-} // namespace
-
 bool
 validateJson(const std::string &text, std::string *err)
 {
-    Parser p{text};
-    if (!p.value(0)) {
-        if (err)
-            *err = p.err;
-        return false;
-    }
-    p.skipWs();
-    if (p.pos != text.size()) {
-        if (err)
-            *err = "trailing garbage at byte " + std::to_string(p.pos);
-        return false;
-    }
-    return true;
+    JsonValue doc;
+    return parseJson(text, doc, err);
 }
 
 } // namespace telemetry

@@ -75,7 +75,8 @@ class JsonWriter
 };
 
 /**
- * Strict well-formedness check of a complete JSON document.
+ * Strict (RFC 8259) well-formedness check of a complete JSON document:
+ * parseJson() with the result discarded.
  * @param err optional; receives a byte offset + message on failure.
  */
 bool validateJson(const std::string &text, std::string *err = nullptr);

@@ -4,7 +4,7 @@
  *
  * Every component registers under a dotted path ("node3.l2", "engine",
  * "net.gpu0.ring") and either owns a StatGroup of eagerly-updated
- * counters/averages/histograms (cold paths) or publishes pull-based
+ * counters/histograms (cold paths) or publishes pull-based
  * gauges/formulas that read the component's existing hot-path members on
  * demand (zero cost while the simulation runs). Exporters
  * (telemetry/exporters.hh) flatten the tree to text, CSV, or versioned
@@ -46,7 +46,7 @@ class Snapshot
     /**
      * Stat window between @p prev and this snapshot: accumulating kinds
      * (Counter, histogram buckets) subtract; instantaneous kinds
-     * (Gauge/Formula/Average/histogram means) keep this snapshot's value.
+     * (Gauge/Formula/histogram means) keep this snapshot's value.
      */
     Snapshot delta(const Snapshot &prev) const;
 

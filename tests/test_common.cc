@@ -83,16 +83,13 @@ TEST(Rng, ZipfIsSkewed)
     EXPECT_GT(low, 3000u);
 }
 
-TEST(Stats, CountersAndAverages)
+TEST(Stats, CountersAccumulateAndReset)
 {
     StatGroup g("test");
     g.counter("hits") += 5;
     ++g.counter("hits");
-    g.average("lat").sample(10);
-    g.average("lat").sample(20);
     EXPECT_EQ(g.get("hits"), 6u);
     EXPECT_EQ(g.get("absent"), 0u);
-    EXPECT_DOUBLE_EQ(g.average("lat").mean(), 15.0);
     g.reset();
     EXPECT_EQ(g.get("hits"), 0u);
 }

@@ -17,9 +17,10 @@
  *    order, every invalidation path, the 25-bit stamp field's
  *    renumbering when the LRU clock wraps, and the way memo under
  *    line-run streams and a checkpoint round trip);
- *  - the EventQueue's two modes against the std::priority_queue the
- *    engine historically used, including a 16K-warp drain and a
- *    checkpoint round trip of the packed heap.
+ *  - the EventQueue's 8-byte entries against the std::priority_queue
+ *    the engine historically used, including a 16K-warp drain, and its
+ *    16-byte entries against a FIFO-within-ties multimap, including
+ *    late events; both through a checkpoint round trip.
  */
 
 #include <algorithm>
@@ -911,14 +912,14 @@ TEST(CacheEquivalence, StampWrapKeepsVictimOrder)
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue: heap mode must pop exactly like std::priority_queue;
-// calendar mode must pop the same times with FIFO tie order.
+// EventQueue: 8-byte entries must pop exactly like std::priority_queue;
+// 16-byte entries pop the same times with FIFO tie order.
 // ---------------------------------------------------------------------------
 
 TEST(EventQueueEquivalence, HeapModeMatchesPriorityQueue)
 {
     Rng rng(42);
-    EventQueue q(EventQueue::Mode::Heap);
+    EventQueue<uint64_t> q;
     std::priority_queue<WarpEvent, std::vector<WarpEvent>,
                         std::greater<WarpEvent>>
         ref;
@@ -970,7 +971,7 @@ TEST(EventQueueEquivalence, HeapModeMatchesPriorityQueue)
             out(q);
             serial::Reader in(out.finish(0));
             in.section(1);
-            EventQueue restored(EventQueue::Mode::Heap);
+            EventQueue<uint64_t> restored;
             in(restored);
             ASSERT_EQ(restored.size(), q.size());
             q = restored;
@@ -998,12 +999,40 @@ TEST(EventQueueEquivalence, HeapModeMatchesPriorityQueue)
     EXPECT_GE(q.size(), 16u * 1024u);
 }
 
+/**
+ * One queue image written field by field: the push count, then the
+ * heap as (time, seq, warp) triples.
+ */
+std::string
+queueImage(uint64_t pushes, const std::vector<QueuedEvent> &heap)
+{
+    serial::Writer out;
+    out.section(1);
+    uint64_t n = heap.size();
+    out(pushes, n);
+    for (QueuedEvent e : heap)
+        out(e.time, e.seq, e.warp);
+    return out.finish(0);
+}
+
+template <class Key>
+EventQueue<Key>
+loadQueue(const std::string &image)
+{
+    serial::Reader in(image);
+    in.section(1);
+    EventQueue<Key> q;
+    in(q);
+    return q;
+}
+
 TEST(EventQueueEquivalence, HeapRefusesUnpackableEvents)
 {
-    // A heap entry packs a 40-bit time over a 24-bit warp slot.
-    const Cycles max_time = (Cycles{1} << EventQueue::kTimeBits) - 1;
-    const uint32_t max_warp = (1u << EventQueue::kSlotBits) - 1;
-    EventQueue q(EventQueue::Mode::Heap);
+    // An 8-byte entry packs a 40-bit time over a 24-bit warp slot.
+    using Narrow = EventQueue<uint64_t>;
+    const Cycles max_time = (Cycles{1} << Narrow::kTimeBits) - 1;
+    const uint32_t max_warp = (1u << Narrow::kSlotBits) - 1;
+    Narrow q;
     EXPECT_THROW(q.push(max_time + 1, 0), SimError);
     EXPECT_THROW(q.push(0, max_warp + 1), SimError);
     EXPECT_TRUE(q.empty());
@@ -1012,135 +1041,95 @@ TEST(EventQueueEquivalence, HeapRefusesUnpackableEvents)
     EXPECT_EQ(e.time, max_time);
     EXPECT_EQ(e.warp, max_warp);
 
-    // The same limits hold for a checkpoint image: one heap-mode queue
-    // image written field by field, first with a legal event (it loads
-    // and pops), then with a time past 40 bits (refused).
-    const auto image = [](Cycles time) {
-        serial::Writer out;
-        out.section(1);
-        bool calendar = false;
-        size_t size = 1, cursor = 0, in_year = 0;
-        std::vector<WarpEvent> heap{WarpEvent{time, 3}}, overflow;
-        Cycles year_start = 0;
-        uint64_t seq = 0, buckets = 0;
-        out(calendar, size, heap, cursor, year_start, in_year, seq,
-            overflow, buckets);
-        return out.finish(0);
-    };
+    // The same limits hold for a checkpoint image, and an 8-byte entry
+    // has no sequence number.
     {
-        serial::Reader in(image(max_time));
-        in.section(1);
-        EventQueue r(EventQueue::Mode::Heap);
-        in(r);
+        Narrow r = loadQueue<uint64_t>(queueImage(0, {{max_time, 0, 3}}));
         const WarpEvent got = r.pop();
         EXPECT_EQ(got.time, max_time);
         EXPECT_EQ(got.warp, 3u);
         EXPECT_TRUE(r.empty());
     }
-    serial::Reader in(image(max_time + 1));
-    in.section(1);
-    EventQueue r(EventQueue::Mode::Heap);
-    EXPECT_THROW(in(r), SimError);
+    EXPECT_THROW(loadQueue<uint64_t>(queueImage(0, {{max_time + 1, 0, 3}})),
+                 SimError);
+    EXPECT_THROW(loadQueue<uint64_t>(queueImage(0, {{0, 0, max_warp + 1}})),
+                 SimError);
+    EXPECT_THROW(loadQueue<uint64_t>(queueImage(0, {{0, 1, 3}})), SimError);
+
+    // A 16-byte entry keeps all 64 time bits and packs a 40-bit push
+    // count over the same 24-bit slot.
+    using Wide = EventQueue<uint128_t>;
+    const uint64_t max_seq = (uint64_t{1} << Wide::kSeqBits) - 1;
+    const Cycles far = ~Cycles{0};
+    Wide w;
+    EXPECT_THROW(w.push(0, max_warp + 1), SimError);
+    w.push(far, max_warp);
+    w.push(max_time + 1, 0);
+    EXPECT_EQ(w.pop().time, max_time + 1);
+    const WarpEvent last = w.pop();
+    EXPECT_EQ(last.time, far);
+    EXPECT_EQ(last.warp, max_warp);
+    {
+        Wide r = loadQueue<uint128_t>(
+            queueImage(max_seq, {{far, max_seq - 1, max_warp}}));
+        r.push(far, 1); // takes the last sequence number
+        EXPECT_THROW(r.push(far, 2), SimError);
+        EXPECT_EQ(r.pop().warp, max_warp);
+        EXPECT_EQ(r.pop().warp, 1u);
+        EXPECT_TRUE(r.empty());
+    }
+    EXPECT_THROW(loadQueue<uint128_t>(queueImage(0, {{0, max_seq + 1, 3}})),
+                 SimError);
+    EXPECT_THROW(loadQueue<uint128_t>(queueImage(0, {{0, 0, max_warp + 1}})),
+                 SimError);
 }
 
-TEST(EventQueueEquivalence, CalendarModePopsSameTimesFifoWithinTies)
+TEST(EventQueueEquivalence, WideEntriesPopSameTimesFifoWithinTies)
 {
     Rng rng(43);
-    EventQueue q(EventQueue::Mode::Calendar, 4);
+    EventQueue<uint128_t> q;
     std::multimap<Cycles, uint32_t> ref; // FIFO within a key
     uint32_t warp = 0;
-    Cycles floor = 0; // calendar requires non-decreasing pop times
-    for (int i = 0; i < 5000; ++i) {
-        if (!ref.empty() && rng.nextBounded(3) == 0) {
-            const auto it = ref.begin();
-            const WarpEvent got = q.pop();
-            ASSERT_EQ(got.time, it->first);
-            ASSERT_EQ(got.warp, it->second); // FIFO among equal times
-            floor = it->first;
-            ref.erase(it);
-        } else {
-            const Cycles time = floor + rng.nextBounded(64);
-            q.push(time, warp);
-            ref.emplace(time, warp);
-            ++warp;
-        }
-    }
-    while (!ref.empty()) {
+    Cycles floor = 0; // the last popped time
+    const auto popOne = [&]() {
         const auto it = ref.begin();
+        ASSERT_EQ(q.nextWarp(), it->second);
         const WarpEvent got = q.pop();
         ASSERT_EQ(got.time, it->first);
-        ASSERT_EQ(got.warp, it->second);
-        ref.erase(it);
-    }
-    EXPECT_TRUE(q.empty());
-}
-
-// Year-boundary audit regression. The calendar's horizon is one "year"
-// of kNumBuckets * width cycles: a push at exactly yearStart + yearSpan
-// must take the overflow heap (the bucket it would hash to belongs to
-// the CURRENT year's time slice), while yearStart + yearSpan - 1 files
-// directly into the last bucket; overflow entries migrate in when their
-// year starts. The two conditions (`>= span` to overflow, `< span` to
-// migrate) are complementary -- an off-by-one in either direction
-// misfiles boundary events a whole year early or late. This test hugs
-// the boundary from both sides across several year wraps, comparing the
-// calendar against heap mode (same pop times) and against a FIFO
-// multimap (calendar's stricter tie order).
-TEST(EventQueueEquivalence, CalendarYearBoundaryMatchesHeapReference)
-{
-    Rng rng(44);
-    const Cycles width = 4;
-    const Cycles year = width * 1024; // kNumBuckets buckets per year
-    EventQueue cal(EventQueue::Mode::Calendar, width);
-    EventQueue heap(EventQueue::Mode::Heap);
-    std::multimap<Cycles, uint32_t> ref; // FIFO within a key
-    uint32_t warp = 0;
-    Cycles floor = 0;
-
-    const auto popAll = [&]() {
-        const auto it = ref.begin();
-        const WarpEvent c = cal.pop();
-        const WarpEvent h = heap.pop();
-        ASSERT_EQ(c.time, it->first);
-        ASSERT_EQ(c.warp, it->second); // calendar is FIFO among ties
-        ASSERT_EQ(h.time, it->first);  // heap agrees on times only
+        ASSERT_EQ(got.warp, it->second); // FIFO among equal times
         floor = it->first;
         ref.erase(it);
     };
-
-    for (int y = 1; y <= 6; ++y) {
-        const Cycles boundary = static_cast<Cycles>(y) * year;
-        for (int i = 0; i < 256; ++i) {
-            Cycles t;
-            switch (rng.nextBounded(4)) {
-            case 0:
-                t = boundary; // exactly yearStart + yearSpan
-                break;
-            case 1:
-                t = boundary - 1; // last slot of the closing year
-                break;
-            case 2: // just past the horizon
-                t = boundary + rng.nextBounded(2 * width);
-                break;
-            default: // just inside it
-                t = boundary - 1 - rng.nextBounded(2 * width);
-                break;
-            }
-            t = std::max(t, floor);
-            cal.push(t, warp);
-            heap.push(t, warp);
-            ref.emplace(t, warp);
-            ++warp;
-            if (rng.nextBounded(3) == 0)
-                popAll();
+    for (int i = 0; i < 20000; ++i) {
+        if (i == 10000) {
+            // Midway through a checkpoint image: the push count travels
+            // too, so later ties still pop behind the restored ones.
+            serial::Writer out;
+            out.section(1);
+            out(q);
+            serial::Reader in(out.finish(0));
+            in.section(1);
+            EventQueue<uint128_t> restored;
+            in(restored);
+            ASSERT_EQ(restored.size(), q.size());
+            q = restored;
         }
-        // Drain completely so the next cluster starts from an empty
-        // queue a whole year ahead (the bucket-scan fast-forward path).
-        while (!ref.empty())
-            popAll();
-        ASSERT_TRUE(cal.empty());
-        ASSERT_TRUE(heap.empty());
+        if (!ref.empty() && rng.nextBounded(3) == 0) {
+            ASSERT_NO_FATAL_FAILURE(popOne()) << "push " << i;
+            continue;
+        }
+        // Mostly at or after the last pop; one push in eight lands
+        // below it, as a sharded lane's late successor events do.
+        Cycles time = floor + rng.nextBounded(64);
+        if (rng.nextBounded(8) == 0)
+            time = floor - std::min<Cycles>(floor, rng.nextBounded(16));
+        q.push(time, warp);
+        ref.emplace(time, warp);
+        ++warp;
     }
+    while (!ref.empty())
+        ASSERT_NO_FATAL_FAILURE(popOne());
+    EXPECT_TRUE(q.empty());
 }
 
 } // namespace

@@ -129,7 +129,7 @@ TEST(LogHistogram, MergeMatchesCombinedSampling)
 
 TEST(HistogramPercentile, InterpolatesWithinBuckets)
 {
-    Histogram h(/*bucket_width=*/10, /*num_buckets=*/10);
+    Histogram h(/*width=*/10, /*num_buckets=*/10);
     for (uint64_t v = 0; v < 100; ++v)
         h.sample(v);
     EXPECT_NEAR(h.percentile(0.50), 50.0, 10.0);

@@ -405,12 +405,11 @@ TEST_F(SnapshotTest, HugeContainerCountIsSimError)
     // corrupt checkpoint before anything is allocated.
     serial::Writer w;
     w.section(1);
-    bool calendar = false;
-    uint64_t size = 0, heap_events = uint64_t{1} << 60;
-    w(calendar, size, heap_events);
+    uint64_t seq = 0, heap_events = uint64_t{1} << 60;
+    w(seq, heap_events);
     serial::Reader r(w.finish(0));
     r.section(1);
-    EventQueue q;
+    EventQueue<uint64_t> q;
     EXPECT_THROW(q.io(r), SimError);
 }
 
@@ -421,7 +420,7 @@ TEST_F(SnapshotTest, OutOfRangeEnumIsSimError)
     uint64_t entries = 1;
     std::string path = "x";
     double value = 1.0;
-    uint32_t kind = 200; // StatKind has five values
+    uint32_t kind = 200; // StatKind has four values
     w(entries, path, value, kind);
     serial::Reader r(w.finish(0));
     r.section(1);

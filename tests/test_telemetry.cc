@@ -41,7 +41,7 @@ using telemetry::validateJson;
 TEST(StatGroupHistogram, AccessorSamplesAndResets)
 {
     StatGroup g("eng");
-    Histogram &h = g.histogram("lat", /*bucket_width=*/10,
+    Histogram &h = g.histogram("lat", /*width=*/10,
                                /*num_buckets=*/4);
     h.sample(5);
     h.sample(15);
@@ -56,12 +56,6 @@ TEST(StatGroupHistogram, AccessorSamplesAndResets)
     // Same name returns the same histogram; shape params are ignored.
     EXPECT_EQ(&g.histogram("lat", 1, 1), &h);
     EXPECT_EQ(h.numBuckets(), 4u);
-
-    // dump() includes histogram lines.
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("eng.lat.samples 4"), std::string::npos);
-    EXPECT_NE(os.str().find("eng.lat.overflow 1"), std::string::npos);
 
     // visit() expands buckets with accumulating kinds.
     double samples = -1.0, bucket1 = -1.0;
@@ -128,14 +122,12 @@ TEST(StatRegistry, SnapshotDeltaSemantics)
               StatKind::Counter);
     reg.gauge("g.now", [&] { return temp; }); // default Gauge kind
     reg.group("grp").counter("events") += 10;
-    reg.group("grp").average("occ").sample(4.0);
     reg.group("grp").histogram("h", 1, 2).sample(0);
 
     const Snapshot before = reg.snapshot();
     ctr = 175;
     temp = 9.0;
     reg.group("grp").counter("events") += 5;
-    reg.group("grp").average("occ").sample(8.0);
     reg.group("grp").histogram("h", 1, 2).sample(0);
     const Snapshot after = reg.snapshot();
     const Snapshot d = after.delta(before);
@@ -147,7 +139,6 @@ TEST(StatRegistry, SnapshotDeltaSemantics)
     EXPECT_DOUBLE_EQ(d.value("grp.h.samples").value_or(-1), 1.0);
     // Instantaneous kinds keep the newest value.
     EXPECT_DOUBLE_EQ(d.value("g.now").value_or(-1), 9.0);
-    EXPECT_DOUBLE_EQ(d.value("grp.occ").value_or(-1), 6.0); // mean of 4,8
 
     // Snapshots are value captures: mutating the registry afterwards
     // does not change them.
@@ -183,15 +174,15 @@ TEST(JsonValidator, RejectsMalformedDocuments)
 {
     for (const char *bad :
          {"", "{", "{\"a\":}", "[1,]", "{\"a\":1,}", "{'a':1}",
-          "{\"a\":1} trailing", "{\"a\":01}", "nulll",
-          "{\"a\":\"\x01\"}"}) {
+          "{\"a\":1} trailing", "{\"a\":01}", "[01]", "+1", ".5", "1.",
+          "-", "1e", "nulll", "{\"a\":\"\x01\"}"}) {
         std::string err;
         EXPECT_FALSE(validateJson(bad, &err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
     for (const char *good :
-         {"{}", "[]", "null", "true", "-1.5e3",
-          "{\"a\":[{\"b\":null}]}", "\"\\u00e9\""}) {
+         {"{}", "[]", "null", "true", "-1.5e3", "0", "-0.0e-7",
+          "[0,10,1E+2]", "{\"a\":[{\"b\":null}]}", "\"\\u00e9\""}) {
         std::string err;
         EXPECT_TRUE(validateJson(good, &err)) << good << ": " << err;
     }
