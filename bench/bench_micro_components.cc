@@ -170,17 +170,22 @@ BM_CacheL2Gather(benchmark::State &state)
 BENCHMARK(BM_CacheL2Gather);
 
 void
-BM_MshrLocateInsert(benchmark::State &state)
+BM_MshrLocateInsert(benchmark::State &state, bool line_run)
 {
     // The miss path's probe-then-record pair at a steady live set: one
     // miss per cycle on a 32K-sector pool, each in flight 200..999
-    // cycles, so about 600 entries are live and the table sweeps its
+    // cycles, so about 600 sectors are live and the table sweeps its
     // expired ones as it goes. Re-missed sectors still in flight merge.
+    // Scattered: each miss on a random sector. Line run: the four
+    // sectors of a random line back to back, as a coalesced step issues
+    // them. Label: the final line-slot capacity.
     MshrTable t;
     Rng rng(5);
     std::vector<Addr> addrs(1 << 16);
-    for (auto &a : addrs)
-        a = rng.nextBounded(32768) * kSectorSize;
+    for (size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = !line_run ? rng.nextBounded(32768) * kSectorSize
+                   : i % 4 == 0 ? rng.nextBounded(8192) * kLineSize
+                                : addrs[i - 1] + kSectorSize;
     Cycles now = 0;
     uint64_t merges = 0;
     for (auto _ : state) {
@@ -195,7 +200,8 @@ BM_MshrLocateInsert(benchmark::State &state)
     benchmark::DoNotOptimize(merges);
     label(state, "capacity", static_cast<double>(t.capacity()));
 }
-BENCHMARK(BM_MshrLocateInsert);
+BENCHMARK_CAPTURE(BM_MshrLocateInsert, scattered, false);
+BENCHMARK_CAPTURE(BM_MshrLocateInsert, line_run, true);
 
 void
 BM_PageTableLookup(benchmark::State &state)

@@ -52,10 +52,15 @@ Rng::next()
 uint64_t
 Rng::nextBounded(uint64_t bound)
 {
+    return nextBounded(bound, rejectionThreshold(bound));
+}
+
+uint64_t
+Rng::nextBounded(uint64_t bound, uint64_t threshold)
+{
     if (bound <= 1)
         return 0;
     // Rejection sampling to avoid modulo bias.
-    const uint64_t threshold = -bound % bound;
     for (;;) {
         uint64_t r = next();
         if (r >= threshold)

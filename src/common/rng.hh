@@ -31,6 +31,20 @@ class Rng
     /** Uniform integer in [0, bound), bound > 0. Uses rejection sampling. */
     uint64_t nextBounded(uint64_t bound);
 
+    /**
+     * nextBounded(@p bound) with its rejection threshold, a 64-bit
+     * division, taken from rejectionThreshold(@p bound) once for a loop
+     * that draws many values under one bound. Draws the identical value.
+     */
+    uint64_t nextBounded(uint64_t bound, uint64_t threshold);
+
+    /** Rejection threshold of nextBounded(@p bound). */
+    static uint64_t
+    rejectionThreshold(uint64_t bound)
+    {
+        return bound > 1 ? -bound % bound : 0;
+    }
+
     /** Uniform double in [0, 1). */
     double nextDouble();
 

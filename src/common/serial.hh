@@ -57,7 +57,7 @@ namespace serial
 uint32_t crc32(const void *data, size_t n);
 
 /** Current checkpoint format version; bump on any layout change. */
-constexpr uint32_t kFormatVersion = 7;
+constexpr uint32_t kFormatVersion = 8;
 
 /**
  * Safe to copy as raw bytes: every byte of a T is part of its value (no

@@ -37,9 +37,9 @@ struct Allocation
 
 /**
  * Exclusive upper bound of the simulated address space (128 GiB less one
- * sector). Sector indices stay below 2^32 - 1, so a sector key (index
- * + 1) fits the MSHR table's 32-bit slots; MallocRegistry refuses any
- * allocation that would end past it.
+ * sector). Line indices stay below 2^30, so a line key (index + 1) fits
+ * the MSHR table's 32-bit keys and the caches' 31-bit tags;
+ * MallocRegistry refuses any allocation that would end past it.
  */
 constexpr Addr kMaxSimAddr = ((Addr{1} << 32) - 1) * kSectorSize;
 

@@ -150,7 +150,7 @@ MemorySystem::tail(Access &a, MshrTable::Ref mshr)
 /**
  * Stage 1. True when the access completed here -- an L1 hit, or a merge
  * into a miss already in flight -- with its completion cycle in @p done.
- * Otherwise @p mshr locates the sector's MSHR slot for finish().
+ * Otherwise @p mshr locates the sector's MSHR line slot for finish().
  * @p new_line is false when the previous access touched the same line.
  */
 bool
@@ -162,10 +162,10 @@ MemorySystem::frontEnd(Access &a, SmId sm, bool new_line,
     // Start pulling the structures an L1 miss will probe -- the MSHR
     // slot, the L2 tag set, and the translation TLB entry -- while the
     // L1 lookup runs. All pure prefetch hints, no architectural effect.
-    // The previous access already pulled its line's L2 set and TLB
-    // entry; only the MSHR slot differs per sector.
-    pending_[node].prefetch(a.addr);
+    // All three are per line: a sector of the previous access's line
+    // finds them pulled already.
     if (new_line) {
+        pending_[node].prefetch(a.addr);
         l2_[node].prefetchSet(a.addr);
         pageTable_.prefetch(a.addr);
     }

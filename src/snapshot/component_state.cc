@@ -201,15 +201,33 @@ template <class Ar>
 void
 MshrTable::io(Ar &ar)
 {
-    ar(slots_, size_, base_);
+    ar(keys_, offs_, size_, base_);
     if constexpr (Ar::kLoading) {
-        const size_t n = slots_.size();
+        const size_t n = keys_.size();
         ar.expect(n >= kMinCapacity && (n & (n - 1)) == 0, true,
                   "MSHR table geometry");
+        ar.expect(offs_.size(), n * kSectorsPerLine,
+                  "MSHR table offsets per line");
         indexFor(n);
-        ar.expect(std::count_if(slots_.begin(), slots_.end(),
-                                [](const Slot &s) { return s.key; }),
-                  size_, "MSHR table occupancy");
+        memo_ = 0;
+        // A sweep keeps any slot with a nonzero offset, so an empty slot
+        // must hold none; the memo is exact only if no key repeats.
+        std::vector<uint32_t> keys;
+        size_t stray = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if (keys_[i] != 0)
+                keys.push_back(keys_[i]);
+            else
+                for (size_t s = 0; s < kSectorsPerLine; ++s)
+                    stray += offs_[i * kSectorsPerLine + s] != 0;
+        }
+        ar.expect(keys.size(), size_, "MSHR table occupancy");
+        ar.expect(size_ * 4 <= n * 3, true, "MSHR table load");
+        ar.expect(stray, 0, "MSHR offsets in empty slots");
+        std::sort(keys.begin(), keys.end());
+        ar.expect(std::adjacent_find(keys.begin(), keys.end()) ==
+                      keys.end(),
+                  true, "MSHR table keys unique");
     }
 }
 
@@ -341,6 +359,7 @@ LADM_SERIAL_INSTANTIATE(WarpEvent);
 LADM_SERIAL_INSTANTIATE(EventQueue<uint64_t>);
 LADM_SERIAL_INSTANTIATE(EventQueue<uint128_t>);
 LADM_SERIAL_INSTANTIATE(SectoredCache);
+LADM_SERIAL_INSTANTIATE(MshrTable);
 LADM_SERIAL_INSTANTIATE(PageTable);
 LADM_SERIAL_INSTANTIATE(MemorySystem);
 

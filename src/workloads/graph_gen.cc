@@ -37,9 +37,11 @@ makePowerLawGraph(int64_t vertices, int64_t avg_degree, double alpha,
     }
 
     g.colIdx.resize(edges);
+    const auto bound = static_cast<uint64_t>(vertices);
+    const uint64_t threshold = Rng::rejectionThreshold(bound);
     for (int64_t e = 0; e < edges; ++e)
-        g.colIdx[e] = static_cast<int64_t>(
-            rng.nextBounded(static_cast<uint64_t>(vertices)));
+        g.colIdx[e] =
+            static_cast<int64_t>(rng.nextBounded(bound, threshold));
     return g;
 }
 
@@ -54,9 +56,10 @@ makeUniformGraph(int64_t vertices, int64_t avg_degree, uint64_t seed)
     for (int64_t v = 0; v <= vertices; ++v)
         g.rowPtr[v] = v * avg_degree;
     g.colIdx.resize(vertices * avg_degree);
+    const auto bound = static_cast<uint64_t>(vertices);
+    const uint64_t threshold = Rng::rejectionThreshold(bound);
     for (auto &c : g.colIdx)
-        c = static_cast<int64_t>(
-            rng.nextBounded(static_cast<uint64_t>(vertices)));
+        c = static_cast<int64_t>(rng.nextBounded(bound, threshold));
     return g;
 }
 

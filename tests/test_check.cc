@@ -285,6 +285,29 @@ TEST(CheckSuite, DrainCheckCatchesLeakedMshr)
     ok.checkDrained(1000);
 }
 
+TEST(CheckSuite, DrainCheckListsEveryLeakedSectorOfALine)
+{
+    // Two sectors of one 128-byte line share an MSHR slot; the drain
+    // check must still name each of them, and skip the line's sector
+    // that completed in time.
+    MemorySystem mem(presets::multiGpu4x4());
+    mem.debugInjectPending(3, 0x4400, 900);
+    mem.debugInjectPending(3, 0x4440, 5000);
+    mem.debugInjectPending(3, 0x4460, 6000);
+    try {
+        mem.checkDrained(1000);
+        FAIL() << "leaked MSHR sectors went unnoticed";
+    } catch (const InvariantViolation &e) {
+        ASSERT_EQ(e.diagnostics().size(), 2u) << e.what();
+        EXPECT_EQ(e.diagnostics()[0].field, "node3.mshr");
+        EXPECT_EQ(e.diagnostics()[0].value, "sector 0x4440");
+        EXPECT_EQ(e.diagnostics()[1].value, "sector 0x4460");
+        EXPECT_NE(std::string(e.what()).find("2 outstanding miss(es)"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 /** Trace that never retires and never touches memory: with a zero
  *  compute gap the engine spins without advancing time -- exactly the
  *  hang the watchdog exists to catch. */

@@ -60,6 +60,25 @@ TEST(Rng, BoundedStaysInRange)
     EXPECT_EQ(rng.nextBounded(0), 0u);
 }
 
+TEST(Rng, HoistedThresholdDrawsIdenticalSequence)
+{
+    // The graph generators take the rejection threshold once per graph;
+    // every draw, and the stream position after it, must match the
+    // one-argument form. 2^63 + 1 rejects about half of the raw values.
+    for (const uint64_t bound :
+         {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1} << 20,
+          uint64_t{25600}, (uint64_t{1} << 63) + 1}) {
+        Rng a(77), b(77);
+        const uint64_t threshold = Rng::rejectionThreshold(bound);
+        for (int i = 0; i < 4096; ++i)
+            ASSERT_EQ(b.nextBounded(bound, threshold), a.nextBounded(bound))
+                << "bound " << bound << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "bound " << bound;
+    }
+    EXPECT_EQ(Rng::rejectionThreshold(0), 0u);
+    EXPECT_EQ(Rng::rejectionThreshold(1), 0u);
+}
+
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(2);

@@ -8,10 +8,11 @@
  *    reference model and driven with randomized placement histories
  *    (bulk uniform, Eq. 1 stride interleave, row-blocked strips,
  *    first-touch exceptions, migration streaks, fault re-homes);
- *  - the open-addressed MshrTable against the unordered_map it
- *    replaced, including collision chains, the table-owned expiry
- *    sweep, ready-offset rebasing, and a capacity bound of 4x the live
- *    set under churn;
+ *  - the line-granular MshrTable against a per-sector map that mirrors
+ *    its line-level expiry, on scattered and line-run streams (the
+ *    slot memo, absent sectors of held lines), including collision
+ *    chains, ready-offset rebasing, checkpoint round trips, and a
+ *    capacity bound of 4x the live lines under churn;
  *  - the 8-byte-way SectoredCache against the structure-of-arrays
  *    layout with 64-bit stamps it replaced (results, evictions, victim
  *    order, every invalidation path, the 25-bit stamp field's
@@ -326,155 +327,307 @@ TEST(MemEquivalence, TlbInvalidatedByEveryMutationKind)
 }
 
 // ---------------------------------------------------------------------------
-// MshrTable vs the unordered_map it replaced.
+// Line-granular MshrTable vs a per-sector map.
 // ---------------------------------------------------------------------------
 
-/** Drop every reference entry expired at @p now (what a sweep does). */
-void
-dropExpired(std::unordered_map<Addr, Cycles> &ref, Cycles now)
-{
-    for (auto it = ref.begin(); it != ref.end();) {
-        if (it->second <= now)
-            it = ref.erase(it);
-        else
-            ++it;
-    }
-}
-
 /**
- * Insert into both, mirroring the table's expiry contract in the
- * reference: an insert of a new key that would pass 3/4 load sweeps
- * every entry expired at @p now first.
+ * Per-sector reference for MshrTable: sector -> ready cycle, the lines
+ * the table holds, and its ready base. It mirrors the table's expiry
+ * contract without hashing, offsets or slots: an insert of a new line
+ * that would pass 3/4 load, or whose ready offset does not fit 32 bits,
+ * first sweeps -- every sector ready at or before the sweep's cycle
+ * goes, then every line left without one, and the base advances to the
+ * sweep's cycle. A ready cycle at or before the base leaves its sector
+ * absent; a line stays until a sweep finds it empty.
  */
-void
-insertBoth(MshrTable &t, std::unordered_map<Addr, Cycles> &ref, Addr k,
-           Cycles ready, Cycles now, bool via_ref)
+struct MshrReference
 {
-    const MshrTable::Ref r = t.locate(k);
-    if (!r.found && (t.size() + 1) * 4 > t.capacity() * 3)
-        dropExpired(ref, now);
+    std::unordered_map<Addr, Cycles> sectors;
+    std::set<Addr> lines; ///< line indices the table holds
+    Cycles base = 0;
+
+    void
+    sweep(Cycles now)
+    {
+        base = std::max(base, now);
+        lines.clear();
+        for (auto it = sectors.begin(); it != sectors.end();) {
+            if (it->second <= now) {
+                it = sectors.erase(it);
+            } else {
+                lines.insert(it->first / kLineSize);
+                ++it;
+            }
+        }
+    }
+
+    void
+    insert(Addr k, Cycles ready, Cycles now, size_t capacity)
+    {
+        const Addr line = k / kLineSize;
+        if (ready <= base || ready - base <= UINT32_MAX) {
+            if (lines.count(line)) {
+                if (ready <= base)
+                    sectors.erase(k);
+                else
+                    sectors[k] = ready;
+                return;
+            }
+            if (ready <= base)
+                return;
+            if ((lines.size() + 1) * 4 <= capacity * 3) {
+                lines.insert(line);
+                sectors[k] = ready;
+                return;
+            }
+        }
+        sweep(now);
+        insert(k, ready, now, 2 * capacity); // room, doubling if need be
+    }
+
+    void
+    clear()
+    {
+        sectors.clear();
+        lines.clear();
+        base = 0;
+    }
+
+    /** A find() of @p k that must miss although its line is held. */
+    bool
+    absentInPresentLine(Addr k) const
+    {
+        return lines.count(k / kLineSize) && !sectors.count(k);
+    }
+};
+
+/** Insert into both, through insertAt() after a locate() or insert(). */
+void
+insertBoth(MshrTable &t, MshrReference &ref, Addr k, Cycles ready,
+           Cycles now, bool via_ref)
+{
+    ref.insert(k, ready, now, t.capacity());
     if (via_ref)
-        t.insertAt(r, k, ready, now);
+        t.insertAt(t.locate(k), k, ready, now);
     else
         t.insert(k, ready, now);
-    ref[k] = ready;
 }
 
 void
-expectSameContents(const MshrTable &t,
-                   const std::unordered_map<Addr, Cycles> &ref)
+expectSameContents(const MshrTable &t, const MshrReference &ref)
 {
-    std::map<Addr, Cycles> got, want(ref.begin(), ref.end());
+    std::map<Addr, Cycles> got,
+        want(ref.sectors.begin(), ref.sectors.end());
     t.forEach([&](Addr a, Cycles c) { got[a] = c; });
     EXPECT_EQ(got, want);
+    EXPECT_EQ(t.size(), ref.lines.size());
+}
+
+/** Sector addresses as a coalesced warp step issues them. */
+class LineRunStream
+{
+  public:
+    explicit LineRunStream(Rng &rng) : rng_(rng) {}
+
+    /**
+     * 3/4 of the time a sector of the previous address's line; else a
+     * sector of a fresh line or of one of the last eight lines.
+     */
+    Addr
+    next()
+    {
+        const bool same_line = rng_.nextBounded(4) != 0 && !recent_.empty();
+        if (!same_line) {
+            if (rng_.nextBounded(2) == 0 || recent_.size() < 8) {
+                recent_.push_back(rng_.nextBounded(kMaxSimAddr / kLineSize));
+                if (recent_.size() > 8)
+                    recent_.erase(recent_.begin());
+            } else {
+                std::swap(recent_.back(), recent_[rng_.nextBounded(8)]);
+            }
+        }
+        return recent_.back() * kLineSize +
+               rng_.nextBounded(MshrTable::kSectorsPerLine) * kSectorSize;
+    }
+
+  private:
+    Rng &rng_;
+    std::vector<Addr> recent_; ///< line indices, the current one last
+};
+
+struct MshrStreamCounts
+{
+    size_t memoRepeats = 0;      ///< lookups of the previous op's line
+    size_t absentInPresent = 0;  ///< misses on a sector of a held line
+    size_t maxCapacity = 0;
+};
+
+/**
+ * Randomized op mix over the addresses @p next draws: inserts, the
+ * hot-path locate -> insertAt pair, short misses, expired ready cycles,
+ * finds, clock advances, clears and checkpoint round trips, checked
+ * against the per-sector reference after every op.
+ */
+template <class Next>
+MshrStreamCounts
+runMshrOps(uint64_t seed, int ops, Next &&next)
+{
+    Rng rng(seed);
+    MshrTable t;
+    MshrReference ref;
+    Cycles now = 0;
+    Addr prev_line = ~Addr{0};
+    MshrStreamCounts c;
+    const auto lookup = [&](Addr k, std::optional<Cycles> got) {
+        const auto it = ref.sectors.find(k);
+        EXPECT_EQ(got.has_value(), it != ref.sectors.end()) << "key " << k;
+        if (got && it != ref.sectors.end()) {
+            EXPECT_EQ(*got, it->second) << "key " << k;
+        }
+        c.absentInPresent += ref.absentInPresentLine(k);
+        c.memoRepeats += ref.lines.count(k / kLineSize) &&
+                         k / kLineSize == prev_line;
+    };
+    for (int op = 0; op < ops; ++op) {
+        const Addr k = next(rng);
+        switch (rng.nextBounded(10)) {
+        case 0:
+        case 1:
+        case 2: // insert / overwrite
+            insertBoth(t, ref, k, now + 1 + rng.nextBounded(4000), now,
+                       false);
+            break;
+        case 3: { // the hot-path locate -> insertAt pair
+            const MshrTable::Ref r = t.locate(k);
+            lookup(k, r.found ? std::optional(t.readyAt(r)) : std::nullopt);
+            insertBoth(t, ref, k, now + 1 + rng.nextBounded(4000), now,
+                       true);
+            break;
+        }
+        case 4: // a short miss: expires by the next sweep
+            insertBoth(t, ref, k, now + 1 + rng.nextBounded(8), now, false);
+            break;
+        case 5: // a deferred op's completion, already in the past
+            insertBoth(t, ref, k,
+                       now - std::min<Cycles>(now, rng.nextBounded(8)), now,
+                       false);
+            break;
+        case 6:
+        case 7: // find, and the line's other sectors
+            lookup(k, t.find(k));
+            for (Addr s = 0; s < kLineSize; s += kSectorSize) {
+                const Addr a = lineBase(k) + s;
+                if (a != k)
+                    lookup(a, t.find(a));
+            }
+            break;
+        case 8: // the clock advances; the next sweep expires entries
+            now += rng.nextBounded(8);
+            break;
+        case 9:
+            if (rng.nextBounded(400) == 0) { // kernel-boundary clear
+                t.clear();
+                ref.clear();
+            } else if (rng.nextBounded(400) == 0) { // checkpoint round trip
+                serial::Writer w;
+                w.section(1);
+                t.io(w);
+                serial::Reader r(w.finish(0));
+                r.section(1);
+                MshrTable u;
+                u.io(r);
+                t = u;
+            }
+            break;
+        }
+        prev_line = k / kLineSize;
+        if (testing::Test::HasFailure())
+            break;
+        EXPECT_EQ(t.size(), ref.lines.size()) << "op " << op;
+        c.maxCapacity = std::max(c.maxCapacity, t.capacity());
+        if (op % 1000 == 0)
+            expectSameContents(t, ref);
+    }
+    expectSameContents(t, ref);
+    return c;
 }
 
 TEST(MshrEquivalence, RandomizedOpsMatchUnorderedMap)
 {
-    Rng rng(0xdecafbad);
-    MshrTable t;
-    std::unordered_map<Addr, Cycles> ref;
-    Cycles now = 0;
-    size_t max_capacity = 0;
-
-    // Key pool small enough to force heavy reuse (overwrite paths) and
-    // large enough, with long enough lifetimes, to force several grows
-    // past kMinCapacity; the advancing clock forces expiry sweeps.
+    // Scattered stream: sectors from a pool small enough to force heavy
+    // reuse (overwrite paths) and large enough, with long enough
+    // lifetimes, to force several grows past the minimum capacity; the
+    // advancing clock forces expiry sweeps.
+    Rng pool_rng(0xdecafbad);
     std::vector<Addr> keys;
     for (int i = 0; i < 6000; ++i)
-        keys.push_back(rng.nextBounded(kMaxSimAddr) & ~Addr{31});
+        keys.push_back(pool_rng.nextBounded(kMaxSimAddr) & ~Addr{31});
+    const MshrStreamCounts scattered = runMshrOps(
+        0xdecafbad, 80000,
+        [&](Rng &rng) { return keys[rng.nextBounded(keys.size())]; });
+    EXPECT_GE(scattered.maxCapacity, 4 * MshrTable::kMinCapacity)
+        << "no grows exercised";
 
-    for (int op = 0; op < 80000; ++op) {
-        const Addr k = keys[rng.nextBounded(keys.size())];
-        switch (rng.nextBounded(8)) {
-        case 0:
-        case 1:
-        case 2: { // insert / overwrite
-            const Cycles ready = now + 1 + rng.nextBounded(4000);
-            insertBoth(t, ref, k, ready, now, false);
-            break;
-        }
-        case 3: { // the hot-path locate -> insertAt pair
-            const MshrTable::Ref r = t.locate(k);
-            auto it = ref.find(k);
-            ASSERT_EQ(r.found, it != ref.end());
-            if (r.found) {
-                ASSERT_EQ(t.readyAt(r), it->second);
-            }
-            const Cycles ready = now + 1 + rng.nextBounded(4000);
-            insertBoth(t, ref, k, ready, now, true);
-            break;
-        }
-        case 4: { // a short miss: expires by the next sweep
-            const Cycles ready = now + 1 + rng.nextBounded(8);
-            insertBoth(t, ref, k, ready, now, false);
-            break;
-        }
-        case 5: { // find
-            const std::optional<Cycles> got = t.find(k);
-            auto it = ref.find(k);
-            ASSERT_EQ(got.has_value(), it != ref.end());
-            if (got) {
-                ASSERT_EQ(*got, it->second);
-            }
-            break;
-        }
-        case 6: // the clock advances; the next sweep expires entries
-            now += rng.nextBounded(8);
-            break;
-        case 7: { // occasional kernel-boundary clear
-            if (rng.nextBounded(400) == 0) {
-                t.clear();
-                ref.clear();
-            }
-            break;
-        }
-        }
-        ASSERT_EQ(t.size(), ref.size()) << "op " << op;
-        max_capacity = std::max(max_capacity, t.capacity());
-        if (op % 5000 == 0)
-            expectSameContents(t, ref);
-    }
-    expectSameContents(t, ref);
-    EXPECT_GE(max_capacity, 4096u) << "no grows exercised";
+    // Line-run stream: a line's sectors arrive back to back, so the memo
+    // answers most lookups and lines hold live, expired and absent
+    // sectors side by side when a sweep rebases them.
+    Rng stream_rng(0x5eed);
+    LineRunStream lines(stream_rng);
+    const MshrStreamCounts run = runMshrOps(
+        0x11e5, 80000, [&](Rng &) { return lines.next(); });
+    EXPECT_GE(run.memoRepeats, 10000u) << "memo hardly exercised";
+    EXPECT_GE(run.absentInPresent, 3000u)
+        << "absent sectors of held lines hardly looked up";
+    EXPECT_GE(run.maxCapacity, 2 * MshrTable::kMinCapacity)
+        << "no grows exercised";
 }
 
 TEST(MshrEquivalence, CapacityTracksLiveSetUnderChurn)
 {
-    // Steady churn: every cycle misses on a sector never seen before,
-    // in flight for 1..3000 cycles. The table must size itself to the
-    // live set (entries not yet expired), not to the distinct keys a
-    // run has missed on.
+    // Steady churn: every cycle misses on the next sector of a never
+    // seen stretch of memory, in flight for 1..3000 cycles, so lines
+    // fill four sectors over four cycles. The table must size itself to
+    // the live lines (a sector not yet expired), not to the distinct
+    // lines a run has missed on.
     Rng rng(11);
     MshrTable t;
-    std::multiset<Cycles> live; // ready cycles of live entries
+    std::multiset<Cycles> live; // last-sector ready cycle per closed line
+    Cycles open_ready = 0;      // of the line still filling
     size_t peak_live = 0;
     for (Cycles now = 0; now < 200000; ++now) {
         while (!live.empty() && *live.begin() <= now)
             live.erase(live.begin());
         const Cycles ready = now + 1 + rng.nextBounded(3000);
         t.insert(static_cast<Addr>(now) * kSectorSize, ready, now);
-        live.insert(ready);
-        peak_live = std::max(peak_live, live.size());
-        ASSERT_LE(t.capacity(), std::max<size_t>(1024, 4 * peak_live))
+        open_ready = std::max(now % 4 == 0 ? 0 : open_ready, ready);
+        const size_t live_lines = live.size() + 1;
+        if (now % 4 == 3)
+            live.insert(open_ready);
+        peak_live = std::max(peak_live, live_lines);
+        ASSERT_LE(t.capacity(),
+                  std::max(MshrTable::kMinCapacity, 4 * peak_live))
             << "at cycle " << now;
-        ASSERT_GE(t.size(), live.size());
+        ASSERT_GE(t.size(), live_lines);
     }
-    EXPECT_GT(peak_live, 1000u);
+    EXPECT_GT(peak_live, 500u);
 }
 
 TEST(MshrEquivalence, ClearEmptiesTable)
 {
     MshrTable t;
-    for (Addr a = 0; a < 3000 * 32; a += 32)
-        t.insert(a, 1000 + a, 0); // all live: grows past the minimum
+    const auto addr = [](Addr line) {
+        return line * kLineSize + (line % 4) * kSectorSize;
+    };
+    for (Addr l = 0; l < 3000; ++l)
+        t.insert(addr(l), 1000 + l, 0); // all live: grows past the minimum
     const size_t grown = t.capacity();
-    EXPECT_GT(grown, 1024u);
+    EXPECT_GT(grown, MshrTable::kMinCapacity);
+    EXPECT_EQ(t.size(), 3000u);
     t.clear();
     EXPECT_TRUE(t.empty());
     EXPECT_EQ(t.capacity(), grown);
-    for (Addr a = 0; a < 3000 * 32; a += 32)
-        ASSERT_FALSE(t.find(a).has_value()) << a;
+    for (Addr l = 0; l < 3000; ++l)
+        ASSERT_FALSE(t.find(addr(l)).has_value()) << l;
     size_t visited = 0;
     t.forEach([&](Addr, Cycles) { ++visited; });
     EXPECT_EQ(visited, 0u);
@@ -488,7 +641,8 @@ TEST(MshrEquivalence, ClearEmptiesTable)
     EXPECT_EQ(*t.find(64), later + 7);
     EXPECT_EQ(*t.find(96), later + 9);
     EXPECT_FALSE(t.find(128).has_value());
-    EXPECT_EQ(t.size(), 2u);
+    EXPECT_FALSE(t.find(32).has_value()); // same line, never recorded
+    EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(MshrEquivalence, ReadyOffsetsRebaseAndRefuseOverflow)
@@ -497,51 +651,69 @@ TEST(MshrEquivalence, ReadyOffsetsRebaseAndRefuseOverflow)
     // Ready cycles up to 2^32 - 1 past the base encode directly.
     t.insert(32, UINT32_MAX, 0);
     EXPECT_EQ(*t.find(32), Cycles{UINT32_MAX});
+    EXPECT_FALSE(t.find(0).has_value()); // absent, not ready at the base
     // A later insert whose offset from the base is out of range sweeps
-    // first, advancing the base to now; the expired entry goes with it.
+    // first, advancing the base to now; the expired sector goes, and
+    // with it its line.
     const Cycles now = Cycles{5} << 32;
     t.insert(64, now + 100, now);
     EXPECT_EQ(*t.find(64), now + 100);
     EXPECT_FALSE(t.find(32).has_value());
+    EXPECT_EQ(t.size(), 1u);
     // A ready cycle at or before the base is already expired for every
-    // later lookup; it is kept at the base.
+    // later lookup: it leaves the sector absent, and holds no new line.
     t.insert(96, now - 10, now);
-    EXPECT_EQ(*t.find(96), now);
+    EXPECT_FALSE(t.find(96).has_value());
+    t.insert(4096, now, now);
+    EXPECT_FALSE(t.find(4096).has_value());
+    EXPECT_EQ(t.size(), 1u);
+    // A sweep that keeps a line rebases its live sectors and drops its
+    // expired one, which must not wrap to a far-future ready cycle.
+    t.insert(128, now + 50, now);
+    t.insert(160, now + 5000, now);
+    const Cycles later = now + 100;
+    t.insert(256, later + UINT32_MAX, later); // offset out of range: sweep
+    EXPECT_FALSE(t.find(128).has_value());
+    EXPECT_EQ(*t.find(160), now + 5000);
+    EXPECT_EQ(*t.find(256), later + UINT32_MAX);
+    EXPECT_FALSE(t.find(64).has_value());
+    EXPECT_EQ(t.size(), 2u);
     // An in-flight miss 2^32 or more cycles past now cannot encode.
-    EXPECT_THROW(t.insert(128, now + (Cycles{1} << 32), now), SimError);
-    EXPECT_NO_THROW(t.insert(128, now + UINT32_MAX, now));
+    EXPECT_THROW(t.insert(512, later + (Cycles{1} << 32), later), SimError);
+    EXPECT_NO_THROW(t.insert(512, later + UINT32_MAX, later));
 }
 
 TEST(MshrEquivalence, CollisionChainsSurviveExpiry)
 {
-    // Dense sequential sectors build long probe clusters at the minimum
-    // capacity. Each round re-misses half of the previous round's
-    // sectors and adds new ones while about half the entries expire, so
-    // the rebuilding sweeps keep cutting clusters apart; every sector
-    // must stay reachable with its latest ready cycle.
+    // Dense sequential lines build long probe clusters at the minimum
+    // capacity. Each round re-misses half of the previous round's lines
+    // and adds new ones while about half the sectors expire, so the
+    // rebuilding sweeps keep cutting clusters apart; every sector must
+    // stay reachable with its latest ready cycle.
     MshrTable t;
-    std::unordered_map<Addr, Cycles> ref;
+    MshrReference ref;
     Rng rng(7);
     Cycles now = 0;
     for (Addr round = 0; round < 40; ++round) {
-        for (Addr s = 0; s < 700; ++s) {
-            const Addr a = (round * 350 + s) * kSectorSize;
+        for (Addr s = 0; s < 200; ++s) {
+            const Addr a = (round * 100 + s) * kLineSize +
+                           rng.nextBounded(4) * kSectorSize;
             insertBoth(t, ref, a, now + 1 + rng.nextBounded(100), now,
                        false);
         }
         now += 50;
         for (int p = 0; p < 2000; ++p) {
-            const Addr k = rng.nextBounded((round + 2) * 350) * kSectorSize;
+            const Addr k = rng.nextBounded((round + 2) * 400) * kSectorSize;
             const std::optional<Cycles> got = t.find(k);
-            auto it = ref.find(k);
-            ASSERT_EQ(got.has_value(), it != ref.end()) << "key " << k;
+            auto it = ref.sectors.find(k);
+            ASSERT_EQ(got.has_value(), it != ref.sectors.end()) << "key " << k;
             if (got) {
                 ASSERT_EQ(*got, it->second);
             }
         }
-        ASSERT_EQ(t.size(), ref.size()) << "round " << round;
+        ASSERT_EQ(t.size(), ref.lines.size()) << "round " << round;
     }
-    EXPECT_LE(t.capacity(), 4096u);
+    EXPECT_LE(t.capacity(), 4 * MshrTable::kMinCapacity);
 }
 
 // ---------------------------------------------------------------------------

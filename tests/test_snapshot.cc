@@ -35,6 +35,7 @@
 #include "sched/kernel_wide.hh"
 #include "sim/event_queue.hh"
 #include "sim/gpu_system.hh"
+#include "sim/mshr_table.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/json_reader.hh"
 #include "telemetry/session.hh"
@@ -271,24 +272,26 @@ TEST_F(SnapshotTest, ReaderRejectsCorruptedSection)
 
 TEST_F(SnapshotTest, PreviousFormatVersionRefused)
 {
-    // Version 6 packs each cache way into one 8-byte word (version 5
-    // checkpointed the fabric as one link list, version 4 wrote every
-    // component through one io() field list): an older image must be
-    // refused at the header, never parsed against the new layout.
+    // Version 8 keeps one MSHR slot per 128-byte line (version 7 packed
+    // each event queue as one heap, version 6 each cache way into one
+    // 8-byte word): an older image must be refused at the header, never
+    // parsed against the new layout.
     serial::Writer w;
     w.section(1);
     uint64_t one = 1;
     w(one);
     std::string image = w.finish(7);
+    EXPECT_EQ(serial::kFormatVersion, 8u);
     const uint32_t prev = serial::kFormatVersion - 1;
     std::memcpy(&image[8], &prev, sizeof prev); // after the 8-byte magic
     try {
         serial::Reader r(std::move(image));
         FAIL() << "previous format version accepted";
     } catch (const SimError &e) {
-        EXPECT_NE(std::string(e.what()).find("format version"),
+        EXPECT_NE(e.report().find("format version 7, this build reads "
+                                  "version 8"),
                   std::string::npos)
-            << e.what();
+            << e.report();
     }
 }
 
@@ -448,6 +451,129 @@ TEST_F(SnapshotTest, MismatchedFixedCountIsSimError)
         EXPECT_NE(e.report().find("L1 caches"), std::string::npos)
             << e.report();
     }
+}
+
+/** A CRC-valid image of MSHR table fields, as MshrTable::io writes them. */
+std::string
+mshrImage(const std::vector<uint32_t> &keys,
+          const std::vector<uint32_t> &offsets, size_t size)
+{
+    serial::Writer w;
+    w.section(1);
+    auto k = keys;
+    auto o = offsets;
+    Cycles base = 1000;
+    w(k, o, size, base);
+    return w.finish(0);
+}
+
+void
+loadMshr(MshrTable &t, std::string image)
+{
+    serial::Reader r(std::move(image));
+    r.section(1);
+    t.io(r);
+}
+
+TEST_F(SnapshotTest, HostileMshrImagesAreSimError)
+{
+    constexpr size_t n = MshrTable::kMinCapacity;
+    constexpr size_t per = MshrTable::kSectorsPerLine;
+    std::vector<uint32_t> keys(n, 0), offs(n * per, 0);
+    keys[3] = 0x41; // line 0x40: sector 1 ready at base + 5
+    offs[3 * per + 1] = 5;
+    {
+        // The same fields, written by a table, load back and probe.
+        MshrTable from, t;
+        from.insert(0x40 * kLineSize + kSectorSize, 5, 0);
+        serial::Writer w;
+        w.section(1);
+        from.io(w);
+        loadMshr(t, w.finish(0));
+        ASSERT_TRUE(t.find(0x40 * kLineSize + kSectorSize).has_value());
+        EXPECT_EQ(*t.find(0x40 * kLineSize + kSectorSize), 5u);
+        EXPECT_FALSE(t.find(0x40 * kLineSize).has_value());
+        EXPECT_NO_THROW(loadMshr(t, mshrImage(keys, offs, 1)));
+    }
+    const auto refused = [](const std::string &image, const char *what) {
+        MshrTable t;
+        try {
+            loadMshr(t, image);
+            ADD_FAILURE() << what << ": image accepted";
+        } catch (const SimError &e) {
+            EXPECT_NE(e.report().find(what), std::string::npos)
+                << e.report();
+        }
+    };
+    // Key arrays that are not a power of two, or below the minimum.
+    std::vector<uint32_t> odd = keys, odd_offs = offs;
+    odd.push_back(0);
+    odd_offs.resize(odd.size() * per, 0);
+    refused(mshrImage(odd, odd_offs, 1), "MSHR table geometry");
+    const std::vector<uint32_t> small(n / 2, 0), small_offs(n / 2 * per, 0);
+    refused(mshrImage(small, small_offs, 0), "MSHR table geometry");
+    // Offsets that are not exactly four per key.
+    std::vector<uint32_t> short_offs(offs.begin(), offs.end() - 1);
+    refused(mshrImage(keys, short_offs, 1), "MSHR table offsets per line");
+    std::vector<uint32_t> long_offs = offs;
+    long_offs.resize(offs.size() + per, 0);
+    refused(mshrImage(keys, long_offs, 1), "MSHR table offsets per line");
+    // An occupancy that does not count the keys.
+    refused(mshrImage(keys, offs, 0), "MSHR table occupancy");
+    refused(mshrImage(keys, offs, 2), "MSHR table occupancy");
+    // A duplicate key would break the slot memo's exactness.
+    std::vector<uint32_t> dup = keys;
+    dup[200] = 0x41;
+    refused(mshrImage(dup, offs, 2), "MSHR table keys unique");
+    // An offset in an empty slot would survive a sweep as a keyless line.
+    std::vector<uint32_t> stray = offs;
+    stray[7 * per] = 9;
+    refused(mshrImage(keys, stray, 1), "MSHR offsets in empty slots");
+    // A table past 3/4 load; a full one would never end a probe.
+    std::vector<uint32_t> full(n);
+    for (size_t i = 0; i < n; ++i)
+        full[i] = static_cast<uint32_t>(i + 1);
+    refused(mshrImage(full, offs, n), "MSHR table load");
+}
+
+TEST_F(SnapshotTest, RandomMshrImagesLoadOrRaise)
+{
+    // Field-level fuzz: keys from a small space (duplicates common) or a
+    // large one (duplicates rare), random loads, offsets and occupancy
+    // claims. Every image either loads into a table whose finds and
+    // inserts terminate, or raises SimError.
+    Rng rng(404);
+    int loaded = 0;
+    for (int round = 0; round < 300; ++round) {
+        const size_t n = MshrTable::kMinCapacity << rng.nextBounded(2);
+        const uint64_t space = rng.nextBounded(2) ? 64 : uint64_t{1} << 30;
+        std::vector<uint32_t> keys(n, 0), offs(n * 4, 0);
+        size_t used = 0;
+        for (size_t k = rng.nextBounded(n); k > 0; --k) {
+            const size_t i = rng.nextBounded(n);
+            used += keys[i] == 0;
+            keys[i] = 1 + static_cast<uint32_t>(rng.nextBounded(space));
+            offs[i * 4 + rng.nextBounded(4)] =
+                static_cast<uint32_t>(rng.nextBounded(100));
+        }
+        if (rng.nextBounded(4) == 0)
+            offs[rng.nextBounded(offs.size())] = 1;
+        const size_t claim = rng.nextBounded(2) ? used : rng.nextBounded(n);
+        MshrTable t;
+        try {
+            loadMshr(t, mshrImage(keys, offs, claim));
+        } catch (const SimError &) {
+            continue;
+        }
+        ++loaded;
+        for (uint32_t k = 0; k < 64; ++k) {
+            const Addr a = rng.nextBounded(4 * n) * kSectorSize;
+            (void)t.find(a);
+            t.insert(a, 2000 + rng.nextBounded(500), 1000 + k * 10);
+        }
+        EXPECT_LE(t.size() * 4, t.capacity() * 3);
+    }
+    EXPECT_GT(loaded, 30);
 }
 
 // --- state digest -----------------------------------------------------------
