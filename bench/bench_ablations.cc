@@ -37,6 +37,8 @@ runNoTieBreak(const std::string &name, const SystemConfig &cfg)
     const auto ks = sys.runKernel(w->dims(), *trace,
                                   plan.scheduler->assign(w->dims(), cfg),
                                   plan.policy);
+    if (telemetry::TraceEmitter *tr = sys.traceBuffer())
+        telemetry::session().recordTrace(std::move(*tr));
     RunMetrics m;
     m.cycles = ks.cycles();
     m.scheduler = plan.scheduler->name();

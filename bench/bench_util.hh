@@ -11,8 +11,8 @@
  * Every bench takes the shared options of config/options.hh (workload
  * scale, --jobs worker count, telemetry sinks, --check, checkpointing,
  * --resume-sweep ...); `--help` lists them and README.md tables them.
- * Results, printed rows, and the CSV/JSON sinks are identical at any
- * worker count; tracing forces one worker.
+ * Results, printed rows, the CSV/JSON sinks and the Chrome trace are
+ * identical at any worker count.
  */
 
 #ifndef LADM_BENCH_BENCH_UTIL_HH

@@ -125,7 +125,7 @@ shared(unsigned group, Kind kind, const char *flag, const char *env,
 inline constexpr Option kStatsJson = shared(Telemetry, String, "--stats-json", "LADM_STATS_JSON", "versioned JSON stats (ladm-stats-v1)");
 inline constexpr Option kStatsCsv = shared(Telemetry, String, "--stats-csv", "LADM_STATS_CSV", "flat run,workload,policy,path,kind,value rows");
 inline constexpr Option kStatsText = shared(Telemetry, String, "--stats-text", "LADM_STATS_TEXT", "pretty stats tree");
-inline constexpr Option kTraceOut = shared(Telemetry, String, "--trace-out", "LADM_TRACE_OUT", "Chrome trace-event JSON; forces one sweep worker");
+inline constexpr Option kTraceOut = shared(Telemetry, String, "--trace-out", "LADM_TRACE_OUT", "Chrome trace-event JSON");
 inline constexpr Option kTraceSample = shared(Telemetry, Whole, "--trace-sample", "LADM_TRACE_SAMPLE", "1-in-N thinning of hot trace categories (default 64)", 1, UINT32_MAX);
 inline constexpr Option kTraceMaxEvents = shared(Telemetry, Whole, "--trace-max-events", "LADM_TRACE_MAX_EVENTS", "trace event cap (default 1000000)");
 inline constexpr Option kTimelineOut = shared(Telemetry, String, "--timeline-out", "LADM_TIMELINE_OUT", "timeline JSON (ladm-timeline-v1), a CSV beside it");

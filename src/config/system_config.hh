@@ -116,8 +116,8 @@ struct SystemConfig
      * from --shards / LADM_SHARDS (default 1); 1 is the
      * bit-exact single-thread reference; values above numNodes() clamp.
      * Sharding falls back to the serial loop when the run needs
-     * serial-only machinery (tracing, obs attribution/heatmap, fault
-     * injection, page migration, host memory). See docs/performance.md.
+     * serial-only machinery (obs attribution/heatmap, fault injection,
+     * page migration, host memory). See docs/performance.md.
      */
     int shards = 0;
 

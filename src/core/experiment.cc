@@ -6,6 +6,7 @@
 #include "common/sim_error.hh"
 #include "sim/gpu_system.hh"
 #include "snapshot/snapshot.hh"
+#include "telemetry/json_writer.hh"
 #include "telemetry/profile.hh"
 #include "telemetry/session.hh"
 
@@ -29,6 +30,35 @@ expectRunLabel(const std::string &got, const std::string &want,
               " '" + got + "' but this run uses '" + want + "'",
           "resume with the exact command line that produced the "
           "checkpoint"}});
+}
+
+/**
+ * One launch's decisions on the runtime lane at @p now: the LASP/CRB
+ * plan (when @p ladm) and the scheduler's TB split over the nodes.
+ */
+void
+traceLaunch(telemetry::TraceEmitter &tr, const std::string &kernel,
+            bool ladm, const LaunchPlan &plan, int64_t tbs,
+            const std::vector<std::vector<TbId>> &queues, Cycles now)
+{
+    using telemetry::jsonEscape;
+    const std::string sched = plan.scheduler->name();
+    const std::string head =
+        "{\"scheduler\":\"" + jsonEscape(sched) + "\",";
+    if (ladm)
+        tr.instant("crb", "launch:" + kernel, telemetry::kPidRuntime, 0,
+                   now,
+                   head + "\"policy\":\"" +
+                       jsonEscape(toString(plan.policy)) +
+                       "\",\"reason\":\"" +
+                       jsonEscape(plan.schedulerReason) + "\"}");
+    std::string nodes;
+    for (const auto &q : queues)
+        nodes.append(nodes.empty() ? "" : ",").append(
+            std::to_string(q.size()));
+    tr.instant("sched", "assign:" + sched, telemetry::kPidRuntime, 0, now,
+               head + "\"tbs\":" + std::to_string(tbs) +
+                   ",\"per_node\":[" + nodes + "]}");
 }
 
 } // namespace
@@ -149,6 +179,9 @@ runExperiment(Workload &workload, PolicyBundle &bundle,
 
         const auto queues =
             plan.scheduler->assign(workload.dims(), cfg, sys.now());
+        if (telemetry::TraceEmitter *tr = sys.traceBuffer())
+            traceLaunch(*tr, workload.kernel().name, bundle.runsLadm(),
+                        plan, workload.dims().numTbs(), queues, sys.now());
         LADM_SCOPED_TIMER("experiment.kernels");
         const KernelRunStats k = sys.runKernel(
             workload.dims(), *trace, queues, plan.policy,
@@ -243,6 +276,8 @@ runExperiment(Workload &workload, PolicyBundle &bundle,
         rec.final = sys.registry().snapshot();
         telemetry::session().recordRun(std::move(rec));
     }
+    if (telemetry::TraceEmitter *tr = sys.traceBuffer())
+        telemetry::session().recordTrace(std::move(*tr));
     return m;
 }
 

@@ -228,7 +228,7 @@ class LadmBundle : public PolicyBundle
         return runtime_->prepareLaunch(kernel, dims, arg_pcs, reg, pt);
     }
 
-    LadmRuntime *runtime() { return runtime_.get(); }
+    bool runsLadm() const override { return true; }
 
   private:
     Policy mode_;

@@ -55,6 +55,12 @@ class PolicyBundle
                                const std::vector<uint64_t> &arg_pcs,
                                const MallocRegistry &reg, PageTable &pt,
                                const SystemConfig &sys) = 0;
+
+    /**
+     * True when prepare() runs the LADM runtime: its plan is a LASP/CRB
+     * decision, traced as a launch:<kernel> instant.
+     */
+    virtual bool runsLadm() const { return false; }
 };
 
 std::unique_ptr<PolicyBundle> makeBundle(Policy p);

@@ -5,7 +5,6 @@
 #include <exception>
 #include <thread>
 
-#include "common/logging.hh"
 #include "config/options.hh"
 #include "core/experiment.hh"
 #include "core/sweep_journal.hh"
@@ -32,15 +31,6 @@ SweepRunner::resolveJobs(int requested)
     if (jobs <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         jobs = hw ? static_cast<int>(hw) : 1;
-    }
-
-    const bool tracing = telemetry::session().options().traceEnabled() ||
-                         !opt::str(opt::kTraceOut).empty();
-    if (tracing && jobs > 1) {
-        ladm_inform("sweep: tracing is enabled; the trace emitter is "
-                    "single-writer, forcing jobs=1 (requested ",
-                    jobs, ")");
-        jobs = 1;
     }
     return jobs;
 }

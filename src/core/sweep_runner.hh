@@ -17,13 +17,12 @@
  * serial sweeps therefore emit identical rows.
  *
  * Concurrency contract of the shared substrate:
- *  - telemetry::Session::recordRun() and PhaseProfiler::add() are
+ *  - telemetry::Session's record calls and PhaseProfiler::add() are
  *    mutex-guarded; each job runs under a session ticket taken at
- *    submission, so the stats and timeline sinks list runs in
+ *    submission, so the stats, timeline and trace sinks list runs in
  *    submission order at any worker count.
- *  - The Chrome tracer is single-writer: resolveJobs() forces jobs = 1
- *    with a logged notice whenever tracing is armed.
- *  - Everything else an experiment touches is constructed per run.
+ *  - Everything else an experiment touches, its trace buffer included,
+ *    is constructed per run.
  */
 
 #ifndef LADM_CORE_SWEEP_RUNNER_HH
@@ -60,7 +59,7 @@ class SweepRunner
     {
         /**
          * Worker count; <= 0 resolves via --jobs / LADM_BENCH_JOBS, then
-         * hardware concurrency. Tracing always forces 1.
+         * hardware concurrency.
          */
         int jobs = 0;
     };
@@ -105,10 +104,7 @@ class SweepRunner
     /**
      * Apply the knob hierarchy: explicit @p requested if > 0, else
      * --jobs / LADM_BENCH_JOBS, else std::thread::hardware_concurrency().
-     * A value that is not a whole number > 0 raises SimError. Tracing
-     * (an armed telemetry session or --trace-out / LADM_TRACE_OUT) forces the
-     * result to 1 with a logged notice, keeping the global trace
-     * emitter single-writer.
+     * A value that is not a whole number > 0 raises SimError.
      */
     static int resolveJobs(int requested);
 

@@ -12,7 +12,7 @@ namespace ladm
 
 Network::Network(const SystemConfig &cfg)
     : plan_(check::FaultPlan::parse(cfg.faultSpec)),
-      tr_(telemetry::tracer()), faulted_(!plan_.empty()),
+      faulted_(!plan_.empty()),
       hasSwitchStat_(cfg.topology == Topology::Hierarchical),
       nodes_(static_cast<size_t>(cfg.numNodes()))
 {
@@ -209,20 +209,20 @@ Network::resetStats()
 }
 
 void
-Network::traceTransfer(telemetry::TraceEmitter &tr, Cycles now,
-                       Cycles delay, NodeId src, NodeId dst, Bytes bytes)
+Network::traceTransfer(Cycles now, Cycles delay, NodeId src, NodeId dst,
+                       Bytes bytes)
 {
-    tr.processName(telemetry::kPidInterconnect, "interconnect");
-    tr.threadName(telemetry::kPidInterconnect, src,
-                  "from node" + std::to_string(src));
+    // GpuSystem names the interconnect process lane when it attaches.
+    tr_->threadName(telemetry::kPidInterconnect, src,
+                    "from node" + std::to_string(src));
     // Appended piecewise: GCC 12 reports a false -Wrestrict on
     // "literal" + std::string.
     std::string name = "n";
     name.append(std::to_string(src)).append("->n").append(
         std::to_string(dst));
-    tr.complete("net", std::move(name), telemetry::kPidInterconnect, src,
-                now, now + delay,
-                "{\"bytes\": " + std::to_string(bytes) + "}");
+    tr_->complete("net", std::move(name), telemetry::kPidInterconnect,
+                  src, now, now + delay,
+                  "{\"bytes\": " + std::to_string(bytes) + "}");
 }
 
 } // namespace ladm

@@ -88,10 +88,13 @@ class Network
                  l != end; ++l)
                 delay += (*l)->book(now, bytes);
         }
-        if (tr_.enabled() && tr_.sampleTick())
-            traceTransfer(tr_, now, delay, src, dst, bytes);
+        if (tr_ && tr_->sampleTick())
+            traceTransfer(now, delay, src, dst, bytes);
         return delay;
     }
+
+    /** Record link-transfer spans into @p tr (null = off). */
+    void attachTracer(telemetry::TraceEmitter *tr) { tr_ = tr; }
 
     Bytes interNodeBytes() const { return interNodeBytes_; }
     Bytes interGpuBytes() const { return interGpuBytes_; }
@@ -162,12 +165,12 @@ class Network
      */
     Bytes faultScaled(Bytes bytes, double factor);
 
-    void traceTransfer(telemetry::TraceEmitter &tr, Cycles now,
-                       Cycles delay, NodeId src, NodeId dst, Bytes bytes);
+    void traceTransfer(Cycles now, Cycles delay, NodeId src, NodeId dst,
+                       Bytes bytes);
 
     const check::FaultPlan plan_;
-    /** Process-wide trace emitter, fetched once instead of per call. */
-    telemetry::TraceEmitter &tr_;
+    /** The run's trace emitter; null when tracing is off. */
+    telemetry::TraceEmitter *tr_ = nullptr;
     const bool faulted_;
     const bool hasSwitchStat_;
     size_t nodes_ = 0;

@@ -11,9 +11,7 @@
 #include "sched/batched_rr.hh"
 #include "sched/binding.hh"
 #include "sched/kernel_wide.hh"
-#include "telemetry/json_writer.hh"
 #include "telemetry/profile.hh"
-#include "telemetry/trace.hh"
 
 namespace ladm
 {
@@ -120,20 +118,6 @@ LadmRuntime::prepareLaunch(const KernelDesc &kernel, const LaunchDims &dims,
 
     if (forcedPolicy_)
         plan.policy = *forcedPolicy_;
-
-    auto &tr = telemetry::tracer();
-    if (tr.enabled()) {
-        // The LASP/CRB decision for this launch, on the runtime lane.
-        tr.instant("crb", "launch:" + kernel.name, telemetry::kPidRuntime,
-                   0, 0,
-                   "{\"scheduler\":\"" +
-                       telemetry::jsonEscape(plan.scheduler->name()) +
-                       "\",\"policy\":\"" +
-                       telemetry::jsonEscape(toString(plan.policy)) +
-                       "\",\"reason\":\"" +
-                       telemetry::jsonEscape(plan.schedulerReason) +
-                       "\"}");
-    }
 
     LADM_SCOPED_TIMER("runtime.place_args");
     // Pass 2: place every structure knowing the scheduler that will run,

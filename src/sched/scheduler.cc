@@ -1,8 +1,6 @@
 #include "sched/scheduler.hh"
 
 #include "check/fault_plan.hh"
-#include "telemetry/json_writer.hh"
-#include "telemetry/trace.hh"
 
 namespace ladm
 {
@@ -32,22 +30,6 @@ TbScheduler::assign(const LaunchDims &dims, const SystemConfig &sys,
                 queues[n].clear();
             }
         }
-    }
-
-    auto &tr = telemetry::tracer();
-    if (tr.enabled()) {
-        std::string args = "{\"scheduler\":\"" +
-                           telemetry::jsonEscape(name()) +
-                           "\",\"tbs\":" + std::to_string(dims.numTbs()) +
-                           ",\"per_node\":[";
-        for (size_t n = 0; n < queues.size(); ++n) {
-            if (n)
-                args += ',';
-            args += std::to_string(queues[n].size());
-        }
-        args += "]}";
-        tr.instant("sched", "assign:" + name(), telemetry::kPidRuntime,
-                   0, now, std::move(args));
     }
     return queues;
 }

@@ -23,6 +23,7 @@
 #include "common/types.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace_source.hh"
+#include "telemetry/trace.hh"
 
 namespace ladm
 {
@@ -62,22 +63,21 @@ struct Launch
     int depth = 1;   ///< warp pipeline depth, clamped to [1, 4]
     Cycles gap = 0;  ///< compute gap between dependent steps
     std::vector<int> tbWarpsLeft;
-    /** TB dispatch cycles, sized only while tracing (serial-only). */
+    /** TB dispatch cycles, sized only while tracing. */
     std::vector<Cycles> tbStart;
 };
 
 /**
  * Per-event extension points of Lane::drain(): the serial loop's
  * checkpoint safe point (beforePop), timeline and watchdog (afterPop),
- * trace span (tbRetired), and how a step issues its memory accesses
- * (step). stepOnly() leaves the first three empty.
+ * and how a step issues its memory accesses (step). stepOnly() leaves
+ * the first two empty.
  */
-template <class BeforePop, class AfterPop, class TbRetired, class Step>
+template <class BeforePop, class AfterPop, class Step>
 struct LoopHooks
 {
     BeforePop beforePop;
     AfterPop afterPop;
-    TbRetired tbRetired;
     Step step;
 };
 
@@ -91,10 +91,10 @@ struct NoHook
 };
 
 template <class Step>
-LoopHooks<NoHook, NoHook, NoHook, Step>
+LoopHooks<NoHook, NoHook, Step>
 stepOnly(Step step)
 {
-    return {{}, {}, {}, std::move(step)};
+    return {{}, {}, std::move(step)};
 }
 
 /** The serial lane's queue: 8-byte entries, priority_queue tie order. */
@@ -123,6 +123,8 @@ struct alignas(64) Lane
     std::vector<uint32_t> freeWarps;
     std::vector<SmState> sms; ///< indexed by sm - smLo
     std::vector<MemAccess> buf;
+    /** TB and warp-stall spans go here; null when tracing is off. */
+    telemetry::TraceEmitter *trace = nullptr;
 
     // Run stats, folded into KernelRunStats at kernel end.
     uint64_t warpSteps = 0;
@@ -200,9 +202,8 @@ struct alignas(64) Lane
      * completion lands; its TB's last warp frees the TB's residency and
      * pulls new work at that cycle.
      */
-    template <class TbRetired>
     void
-    retire(Launch &l, uint32_t slot, Cycles now, TbRetired &&tb_retired)
+    retire(Launch &l, uint32_t slot, Cycles now)
     {
         const WarpState &w = warps[slot];
         Cycles fin = now;
@@ -214,7 +215,11 @@ struct alignas(64) Lane
         if (--l.tbWarpsLeft[w.tb] == 0) {
             --st.residentTbs;
             const SmId sm = w.sm;
-            tb_retired(w.tb, sm, fin);
+            if (trace) {
+                trace->complete("tb", "tb" + std::to_string(w.tb),
+                                telemetry::kPidNodeBase + l.smNode[sm], sm,
+                                l.tbStart[w.tb], fin);
+            }
             admit(l, sm, fin); // may reuse the slot: w is dead now
         }
         endCycle = std::max(endCycle, fin);
@@ -224,7 +229,9 @@ struct alignas(64) Lane
      * The scoreboard: a warp may run `depth` loop iterations ahead of
      * the oldest outstanding one, so the next step issues once the step
      * `depth` iterations back has completed, but no earlier than the
-     * compute gap after this issue. Returns the successor's cycle.
+     * compute gap after this issue. A step that takes at least 32 cycles
+     * more than the compute gap is traced as a stall. Returns the
+     * successor's cycle.
      */
     Cycles
     completeStep(const Launch &l, uint32_t slot, Cycles ev_time,
@@ -235,6 +242,12 @@ struct alignas(64) Lane
         totalStepLatency += lat;
         maxStepLatency = std::max(maxStepLatency, lat);
         hist.sample(lat);
+        if (trace && lat >= l.gap + 32 && trace->sampleTick()) {
+            trace->complete("stall", "warp_stall",
+                            telemetry::kPidNodeBase + l.smNode[w.sm], w.sm,
+                            ev_time, done,
+                            "{\"cycles\":" + std::to_string(lat) + "}");
+        }
         w.doneRing[static_cast<size_t>(w.step % l.depth)] = done;
         const Cycles dep =
             w.doneRing[static_cast<size_t>((w.step + 1) % l.depth)];
@@ -273,7 +286,7 @@ struct alignas(64) Lane
             const WarpState &w = warps[ev.warp];
             buf.clear();
             if (!tr.warpStep(w.tb, w.warpInTb, w.step, buf)) {
-                retire(l, ev.warp, ev.time, hooks.tbRetired);
+                retire(l, ev.warp, ev.time);
                 continue;
             }
             ++warpSteps;

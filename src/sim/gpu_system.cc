@@ -27,16 +27,20 @@ GpuSystem::GpuSystem(const SystemConfig &cfg)
         engine_.attachTimeline(obs_->timeline());
     }
 
-    auto &tr = telemetry::tracer();
-    if (tr.enabled()) {
-        tr.setClockGhz(cfg_.clockGhz);
-        tr.newTimeline(cfg_.name);
-        tr.processName(telemetry::kPidRuntime, "runtime (" + cfg_.name +
-                                                  ")");
-        tr.processName(telemetry::kPidInterconnect, "interconnect");
+    if (topts.traceEnabled()) {
+        trace_ = std::make_unique<telemetry::TraceEmitter>(
+            topts.traceSampleEvery, topts.traceMaxEvents, cfg_.clockGhz);
+        // Run boundary marker; the merge shifts it to the run's offset.
+        trace_->instant("runtime", "timeline:" + cfg_.name,
+                        telemetry::kPidRuntime, 0, 0);
+        trace_->processName(telemetry::kPidRuntime,
+                            "runtime (" + cfg_.name + ")");
+        trace_->processName(telemetry::kPidInterconnect, "interconnect");
         for (NodeId n = 0; n < cfg_.numNodes(); ++n)
-            tr.processName(telemetry::kPidNodeBase + n,
-                           "node" + std::to_string(n));
+            trace_->processName(telemetry::kPidNodeBase + n,
+                                "node" + std::to_string(n));
+        mem_.attachTracer(trace_.get());
+        engine_.attachTracer(trace_.get());
     }
 }
 
@@ -82,11 +86,11 @@ GpuSystem::runKernel(const LaunchDims &dims, TraceSource &trace,
     now_ = s.endCycle;
 
     const int idx = kernelIndex_++;
-    auto &tr = telemetry::tracer();
-    if (tr.enabled()) {
-        tr.complete("kernel", "kernel" + std::to_string(idx),
-                    telemetry::kPidRuntime, 0, s.startCycle, s.endCycle,
-                    "{\"tbs\":" + std::to_string(s.tbCount) + "}");
+    if (trace_) {
+        trace_->complete("kernel", "kernel" + std::to_string(idx),
+                         telemetry::kPidRuntime, 0, s.startCycle,
+                         s.endCycle,
+                         "{\"tbs\":" + std::to_string(s.tbCount) + "}");
     }
     if (windowed) {
         telemetry::KernelRecord rec;

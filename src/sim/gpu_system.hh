@@ -4,7 +4,8 @@
  * system, a running clock across kernel launches, and the machine's
  * telemetry registry (every component registers its stats here at
  * construction; per-kernel stat windows are captured at launch
- * boundaries when a stats sink is active).
+ * boundaries when a stats sink is active), plus the run's trace buffer
+ * when tracing.
  */
 
 #ifndef LADM_SIM_GPU_SYSTEM_HH
@@ -117,6 +118,14 @@ class GpuSystem
     obs::Observer *observer() { return obs_.get(); }
     const obs::Observer *observer() const { return obs_.get(); }
 
+    /**
+     * The machine's trace buffer, constructed iff --trace-out is set in
+     * the session's TelemetryOptions; null when tracing is off. The
+     * fabric and the engine record into it; runExperiment() adds the
+     * per-launch decisions and hands it to Session::recordTrace().
+     */
+    telemetry::TraceEmitter *traceBuffer() { return trace_.get(); }
+
   private:
     SystemConfig cfg_;
     MemorySystem mem_;
@@ -129,6 +138,7 @@ class GpuSystem
     // After reg_: the timeline samples the registry, and the registry's
     // obs.lat.* formulas read the attribution histograms.
     std::unique_ptr<obs::Observer> obs_;
+    std::unique_ptr<telemetry::TraceEmitter> trace_;
     std::vector<telemetry::KernelRecord> kernelLog_;
     int kernelIndex_ = 0;
     /**

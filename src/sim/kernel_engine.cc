@@ -12,7 +12,6 @@
 #include "sim/event_queue.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/stat_registry.hh"
-#include "telemetry/trace.hh"
 
 namespace ladm
 {
@@ -32,8 +31,6 @@ toString(KernelEngine::PdesFallback fb)
         return "none";
     case KernelEngine::PdesFallback::CheckSuite:
         return "invariant check suite (LADM_CHECK) is serial-only";
-    case KernelEngine::PdesFallback::Tracing:
-        return "event tracing (--trace-out) is serial-only";
     case KernelEngine::PdesFallback::MemoryIncompatible:
         return "memory feature incompatible with sharding";
     case KernelEngine::PdesFallback::MissingShardTraces:
@@ -198,17 +195,14 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
 
     // Sharded conservative-PDES loop -- only when configured for >1
     // shard AND this run needs none of the serial-only machinery: the
-    // invariant suite (watchdog/drain bookkeeping is serial), event
-    // tracing (the tracer sink is single-threaded), shard-incompatible
-    // memory features (see MemorySystem::shardCompatible()), and a
-    // private trace instance per extra shard (warpStep scratch buffers
-    // are per-object). Anything short of that runs the bit-exact serial
-    // reference below.
+    // invariant suite (watchdog/drain bookkeeping is serial),
+    // shard-incompatible memory features (see
+    // MemorySystem::shardCompatible()), and a private trace instance per
+    // extra shard (warpStep scratch buffers are per-object). Anything
+    // short of that runs the bit-exact serial reference below.
     if (maxShards_ > 1) {
         if (check_on) {
             noteFallback(PdesFallback::CheckSuite, nullptr);
-        } else if (telemetry::tracer().enabled()) {
-            noteFallback(PdesFallback::Tracing, nullptr);
         } else if (!mem_.shardCompatible()) {
             noteFallback(PdesFallback::MemoryIncompatible,
                          mem_.shardIncompatibleReason());
@@ -226,15 +220,8 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     Launch launch = makeLaunch(dims, node_queues);
     Lane<SerialQueue> lane(0, num_nodes, 0, cfg_.totalSms(),
                            cfg_.warpSlotsPerSm);
+    lane.trace = tr_;
     const std::vector<Lane<SerialQueue> *> lanes{&lane};
-
-    auto &tr = telemetry::tracer();
-    const bool tracing = tr.enabled();
-    if (tracing)
-        launch.tbStart.assign(dims.numTbs(), 0);
-    // A warp step this much slower than pure compute counts as a stall
-    // interval worth showing on the timeline.
-    const Cycles stall_floor = cfg_.computeGapCycles + 32;
 
     /** Last processed event's cycle: the current safe-point time. */
     Cycles cur = start;
@@ -313,13 +300,6 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 if (check_on)
                     watchdog(ev);
             },
-            [&](TbId tb, SmId sm, Cycles fin) {
-                if (tracing) {
-                    tr.complete("tb", "tb" + std::to_string(tb),
-                                telemetry::kPidNodeBase + smNode_[sm], sm,
-                                launch.tbStart[tb], fin);
-                }
-            },
             [&](const WarpEvent &ev, SmId sm) {
                 const Cycles done = mem_.accessStep(
                     ev.time, sm, lane.buf.data(),
@@ -329,13 +309,6 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 // progress instead of a stale end-of-last-kernel total.
                 sectorAccessesTotal_ += lane.buf.size();
                 ++warpStepsTotal_;
-                const Cycles lat = done - ev.time;
-                if (tracing && lat >= stall_floor && tr.sampleTick()) {
-                    tr.complete("stall", "warp_stall",
-                                telemetry::kPidNodeBase + smNode_[sm], sm,
-                                ev.time, done,
-                                "{\"cycles\":" + std::to_string(lat) + "}");
-                }
                 lane.completeStep(launch, ev.warp, ev.time, done);
             }});
 
@@ -389,7 +362,8 @@ KernelEngine::makeLaunch(const LaunchDims &dims,
             std::clamp(cfg_.warpPipelineDepth, 1, 4),
             cfg_.computeGapCycles,
             std::vector<int>(static_cast<size_t>(dims.numTbs()), 0),
-            {}};
+            std::vector<Cycles>(tr_ ? static_cast<size_t>(dims.numTbs())
+                                    : 0)};
 }
 
 template <class Lane>
@@ -482,8 +456,8 @@ KernelEngine::loopIo(Ar &ar, bool sharded, Cycles &clock, Launch &launch,
             {{"checkpoint.engine", sharded ? "serial" : "sharded",
               "the checkpoint was written by the " + theirs +
                   " loop but this run resolves to the " + mine + " loop",
-              "resume with the same --shards / --check / tracing "
-              "setup that produced the checkpoint"}});
+              "resume with the same --shards / --check setup that "
+              "produced the checkpoint"}});
     }
     ar(clock);
     ar.fixed(launch.tbWarpsLeft, "threadblocks");

@@ -29,6 +29,7 @@ class Histogram;
 namespace telemetry
 {
 class StatRegistry;
+class TraceEmitter;
 }
 namespace obs
 {
@@ -93,7 +94,7 @@ class KernelEngine
     /**
      * Shard count this engine was configured with (resolved, clamped to
      * the node count). 1 = serial reference loop. Individual runs may
-     * still fall back to the serial loop (tracing, invariant checks,
+     * still fall back to the serial loop (invariant checks,
      * shard-incompatible memory features, missing per-shard traces).
      */
     int maxShards() const { return maxShards_; }
@@ -120,6 +121,13 @@ class KernelEngine
     void attachTimeline(obs::Timeline *t) { timeline_ = t; }
 
     /**
+     * Record TB and warp-stall spans into @p tr (null = off). The
+     * sharded loop gives each lane its own emitter and appends the lanes
+     * to @p tr in node order at kernel end.
+     */
+    void attachTracer(telemetry::TraceEmitter *tr) { tr_ = tr; }
+
+    /**
      * Arm checkpointing (null = off = one untaken null check per event).
      * The engine polls Checkpointer::pending() at its safe points --
      * between events serially, at the window-advance barrier sharded --
@@ -132,13 +140,14 @@ class KernelEngine
      * instead of the sharded PDES loop (None = it ran sharded). The
      * reason is also published as the "engine.pdes.fallback_reason"
      * gauge and warned once per distinct reason, so a silently-serial
-     * run is diagnosable from its telemetry alone.
+     * run is diagnosable from its telemetry alone. Value 2 is retired
+     * (event tracing once forced the serial loop); the others keep their
+     * numbers, which sinks and scripts read.
      */
     enum class PdesFallback : int
     {
         None = 0,
         CheckSuite = 1,         ///< LADM_CHECK invariants force serial
-        Tracing = 2,            ///< event tracing is serial-only
         MemoryIncompatible = 3, ///< see MemorySystem::shardIncompatibleReason
         MissingShardTraces = 4, ///< caller supplied too few trace instances
         ZeroLookahead = 5,      ///< config gives a zero conservative window
@@ -203,6 +212,7 @@ class KernelEngine
     const SystemConfig &cfg_;
     MemorySystem &mem_;
     obs::Timeline *timeline_ = nullptr;
+    telemetry::TraceEmitter *tr_ = nullptr;
     snapshot::Checkpointer *ckpt_ = nullptr;
     /** nodeOfSm() hoisted into a table, built once per topology. */
     std::vector<NodeId> smNode_;

@@ -320,6 +320,8 @@ class MemorySystem
     }
 
     const Network &network() const { return net_; }
+    /** Record the fabric's link-transfer spans into @p tr (null = off). */
+    void attachTracer(telemetry::TraceEmitter *tr) { net_.attachTracer(tr); }
     const SectoredCache &l2(NodeId n) const { return l2_[n]; }
     /** Aggregate DRAM accesses / busy cycles over a node's channels. */
     uint64_t dramAccesses(NodeId n) const;

@@ -86,6 +86,8 @@ struct PdesLane : engine_detail::Lane<engine_detail::PdesQueue>
     MemorySystem::ShardLane mlane;
     std::vector<Waiter> waiters;
     std::vector<uint32_t> waiterOps;
+    /** The lane's own trace spans (Lane::trace), while tracing. */
+    telemetry::TraceEmitter spans;
 };
 
 } // namespace
@@ -111,8 +113,11 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
             std::find(smNode_.begin(), smNode_.end(), n) - smNode_.begin());
         const auto count = static_cast<int>(
             std::count(smNode_.begin(), smNode_.end(), n));
-        lanes.emplace_back(n, 1, lo, count, cfg_.warpSlotsPerSm);
-        lane_ptrs.push_back(&lanes.back());
+        PdesLane &ln = lanes.emplace_back(n, 1, lo, count,
+                                          cfg_.warpSlotsPerSm);
+        if (tr_)
+            ln.trace = &(ln.spans = tr_->fork());
+        lane_ptrs.push_back(&ln);
     }
 
     // Phase P: run one lane up to (exclusive) the window end. Accesses
@@ -305,6 +310,9 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
 
     if (interrupted)
         throw snapshot::Interrupted(ckpt_->outPath(), interrupted_at);
+    if (tr_)
+        for (PdesLane &ln : lanes)
+            tr_->append(std::move(ln.spans));
 
     return finishRun(dims, trace, start, lane_ptrs, base);
 }

@@ -15,12 +15,6 @@ namespace ladm
 namespace telemetry
 {
 
-TraceEmitter &
-tracer()
-{
-    return Session::instance().traceEmitter();
-}
-
 PhaseProfiler &
 profiler()
 {
@@ -56,8 +50,6 @@ Session::configure(const TelemetryOptions &opts)
 {
     opts_ = opts;
     finalized_ = false;
-    tracer_.configure(opts.traceSampleEvery, opts.traceMaxEvents);
-    tracer_.enable(opts.traceEnabled());
     if (opts.anySink() && !atexitRegistered_) {
         atexitRegistered_ = true;
         std::atexit([] { Session::instance().finalize(); });
@@ -69,17 +61,6 @@ namespace
 
 constexpr uint64_t kNoTicket = ~uint64_t{0};
 thread_local uint64_t tlsTicket = kNoTicket;
-
-/** Insert @p v into @p vals at @p ticket's place, after equal tickets. */
-template <class T>
-void
-insertInTicketOrder(std::vector<T> &vals, std::vector<uint64_t> &tickets,
-                    uint64_t ticket, T v)
-{
-    const auto at = std::upper_bound(tickets.begin(), tickets.end(), ticket);
-    vals.insert(vals.begin() + (at - tickets.begin()), std::move(v));
-    tickets.insert(at, ticket);
-}
 
 } // namespace
 
@@ -96,24 +77,44 @@ Session::currentTicket()
     return tlsTicket != kNoTicket ? tlsTicket : takeTicket();
 }
 
+template <class T>
+void
+Session::record(std::vector<T> &vals, std::vector<uint64_t> &tickets, T v)
+{
+    const uint64_t ticket = currentTicket();
+    std::lock_guard<std::mutex> lk(runsMu_);
+    // After equal tickets: a job's records keep their own order.
+    const auto at = std::upper_bound(tickets.begin(), tickets.end(), ticket);
+    vals.insert(vals.begin() + (at - tickets.begin()), std::move(v));
+    tickets.insert(at, ticket);
+}
+
 void
 Session::recordRun(RunRecord rec)
 {
-    if (!statsActive())
-        return;
-    const uint64_t ticket = currentTicket();
-    std::lock_guard<std::mutex> lk(runsMu_);
-    insertInTicketOrder(runs_, runTickets_, ticket, std::move(rec));
+    if (statsActive())
+        record(runs_, runTickets_, std::move(rec));
 }
 
 void
 Session::recordObservation(obs::RunObservation o)
 {
-    if (!opts_.timelineEnabled())
+    if (opts_.timelineEnabled())
+        record(observations_, obsTickets_, std::move(o));
+}
+
+void
+Session::recordTrace(TraceEmitter tr)
+{
+    if (!opts_.traceEnabled())
         return;
-    const uint64_t ticket = currentTicket();
+    record(traces_, traceTickets_, std::move(tr));
+    // Past the cap in ticket order the merge drops every span whatever
+    // runs still arrive, so those are dropped now.
     std::lock_guard<std::mutex> lk(runsMu_);
-    insertInTicketOrder(observations_, obsTickets_, ticket, std::move(o));
+    size_t before = 0;
+    for (TraceEmitter &t : traces_)
+        before += t.keepFirst(opts_.traceMaxEvents - before);
 }
 
 void
@@ -240,13 +241,14 @@ Session::finalize()
         }
     }
     if (opts_.traceEnabled()) {
-        writeSink(opts_.traceOutPath,
-                  [this](std::ostream &os) { tracer_.write(os); });
-        if (tracer_.droppedEvents() > 0) {
+        size_t dropped = 0;
+        writeSink(opts_.traceOutPath, [&](std::ostream &os) {
+            dropped = writeTrace(os, traces_, opts_.traceMaxEvents);
+        });
+        if (dropped > 0) {
             // One line, with the knobs to turn: a silently truncated
             // timeline is worse than a noisy one.
-            ladm_warn("telemetry: trace dropped ",
-                      tracer_.droppedEvents(),
+            ladm_warn("telemetry: trace dropped ", dropped,
                       " events past the cap; raise --trace-max-events"
                       " (currently ",
                       opts_.traceMaxEvents,
@@ -269,10 +271,10 @@ Session::resetForTest()
         runTickets_.clear();
         observations_.clear();
         obsTickets_.clear();
+        traces_.clear();
+        traceTickets_.clear();
     }
     profiler_.clear();
-    tracer_.enable(false);
-    tracer_.clear();
     finalized_ = false;
 }
 

@@ -3,10 +3,10 @@
  * Telemetry session: process-wide collection point tying the pieces
  * together. Examples and tools configure it once (from CLI flags or
  * LADM_* environment variables); runExperiment() contributes one
- * RunRecord per run (final stat snapshot + per-kernel deltas); finalize()
- * writes every selected sink -- versioned stats JSON, CSV, pretty text,
- * and the Chrome trace. With no sink configured the session is inert and
- * records nothing.
+ * RunRecord per run (final stat snapshot + per-kernel deltas) and, when
+ * tracing, the run's trace buffer; finalize() writes every selected sink
+ * -- versioned stats JSON, CSV, pretty text, and the Chrome trace. With
+ * no sink configured the session is inert and records nothing.
  */
 
 #ifndef LADM_TELEMETRY_SESSION_HH
@@ -56,16 +56,15 @@ struct RunRecord
 
 /**
  * Thread-safety contract (the sweep runner fans runExperiment() across
- * worker threads): recordRun() and numRuns() are mutex-guarded and may
- * be called concurrently. Runs and observations are kept in ticket
- * order: SweepRunner takes a ticket per job as it is submitted and runs
- * the job under it (TicketScope), so the sinks list runs in submission
- * order at any worker count. The phase profiler is likewise
- * safe (see profile.hh). Everything else -- configure(), finalize(),
- * resetForTest(), writeStatsJson() -- must run with no experiment in
- * flight (before a sweep starts or after it joins). The trace emitter
- * is single-writer: SweepRunner::resolveJobs() forces serial execution
- * whenever tracing is armed.
+ * worker threads): recordRun(), recordObservation(), recordTrace() and
+ * numRuns() are mutex-guarded and may be called concurrently. Runs,
+ * observations and trace buffers are kept in ticket order: SweepRunner
+ * takes a ticket per job as it is submitted and runs the job under it
+ * (TicketScope), so the sinks list runs in submission order at any
+ * worker count. The phase profiler is likewise safe (see profile.hh).
+ * Everything else -- configure(), finalize(), resetForTest(),
+ * writeStatsJson() -- must run with no experiment in flight (before a
+ * sweep starts or after it joins).
  */
 class Session
 {
@@ -73,9 +72,8 @@ class Session
     static Session &instance();
 
     /**
-     * Select sinks; arms the tracer when a trace path is set and
-     * registers an atexit finalize so sinks are written even if the tool
-     * never calls finalize() itself.
+     * Select sinks and register an atexit finalize so sinks are written
+     * even if the tool never calls finalize() itself.
      */
     void configure(const TelemetryOptions &opts);
 
@@ -83,7 +81,6 @@ class Session
     /** True when any stats sink wants per-run records. */
     bool statsActive() const { return opts_.anyStatsSink(); }
 
-    TraceEmitter &traceEmitter() { return tracer_; }
     PhaseProfiler &phaseProfiler() { return profiler_; }
 
     /**
@@ -131,6 +128,14 @@ class Session
         return observations_;
     }
 
+    /**
+     * File one run's trace buffer at its ticket's position; same
+     * thread-safety contract as recordRun(). No-op unless --trace-out is
+     * set. Spans past the cap in ticket order are dropped here, so the
+     * recorded runs hold at most --trace-max-events of them together.
+     */
+    void recordTrace(TraceEmitter tr);
+
     /** Write every configured sink; idempotent until reconfigured. */
     void finalize();
 
@@ -144,18 +149,22 @@ class Session
     Session() = default;
 
     TelemetryOptions opts_;
-    TraceEmitter tracer_;
     PhaseProfiler profiler_;
     /** This thread's TicketScope ticket, or a fresh one. */
     uint64_t currentTicket();
+    /** Insert @p v into @p vals at this thread's ticket's place. */
+    template <class T>
+    void record(std::vector<T> &vals, std::vector<uint64_t> &tickets, T v);
 
     std::atomic<uint64_t> nextTicket_{0};
-    /** Guards the four vectors below against concurrent sweep workers. */
+    /** Guards the six vectors below against concurrent sweep workers. */
     mutable std::mutex runsMu_;
     std::vector<RunRecord> runs_;            ///< in ticket order
     std::vector<uint64_t> runTickets_;       ///< ticket of each run
     std::vector<obs::RunObservation> observations_; ///< in ticket order
     std::vector<uint64_t> obsTickets_;       ///< ticket of each one
+    std::vector<TraceEmitter> traces_;       ///< in ticket order
+    std::vector<uint64_t> traceTickets_;     ///< ticket of each one
     bool finalized_ = false;
     bool atexitRegistered_ = false;
 };

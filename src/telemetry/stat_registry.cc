@@ -145,15 +145,5 @@ StatRegistry::reset()
         g.reset();
 }
 
-std::vector<std::string>
-StatRegistry::groupPaths() const
-{
-    std::vector<std::string> out;
-    out.reserve(groups_.size());
-    for (const auto &[path, g] : groups_)
-        out.push_back(path);
-    return out;
-}
-
 } // namespace telemetry
 } // namespace ladm

@@ -114,9 +114,6 @@ class StatRegistry
     /** Reset every StatGroup (gauges read live state and are untouched). */
     void reset();
 
-    /** Paths of all registered groups, sorted. */
-    std::vector<std::string> groupPaths() const;
-
     size_t numGroups() const { return groups_.size(); }
     size_t numGauges() const { return gauges_.size(); }
 

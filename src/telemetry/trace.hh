@@ -4,17 +4,18 @@
  *
  * The simulator records TB dispatch/retire spans per SM, long warp-stall
  * intervals, link-transfer spans on the interconnect, scheduler/CRB
- * decisions, and one span per kernel launch. Timestamps are simulated
- * cycles converted to microseconds of simulated time via the core clock;
- * each new machine (GpuSystem) opens a fresh timeline offset so
- * back-to-back experiments do not overlap in the viewer.
+ * decisions, and one span per kernel launch. Each run's machine
+ * (GpuSystem) owns one emitter, built only when --trace-out is set; a
+ * null emitter pointer means tracing is off, so every hook is a single
+ * inline null test and tier-1 runtime is unaffected. High-rate
+ * categories (link transfers, warp stalls) are additionally thinned by
+ * the sampling knob, whose 1-in-N phase starts afresh in every emitter,
+ * and a hard event cap protects against unbounded memory on huge runs.
  *
- * The emitter is reached through telemetry::tracer() (one per process;
- * the simulator is single-threaded). When disabled -- the default --
- * every hook is a single inline bool test, so tier-1 runtime is
- * unaffected. High-rate categories (link transfers, warp stalls) are
- * additionally thinned by the sampling knob, and a hard event cap
- * protects against unbounded memory on huge runs.
+ * An emitter buffers raw cycles. writeTrace() merges the runs' buffers
+ * in sweep order into one document: each run gets its own timeline
+ * offset so back-to-back experiments do not overlap in the viewer, and
+ * cycles become microseconds of simulated time via each run's clock.
  */
 
 #ifndef LADM_TELEMETRY_TRACE_HH
@@ -44,39 +45,39 @@ enum TracePid : int
 
 struct TraceEvent
 {
-    double tsUs = 0.0;   ///< microseconds of simulated time
-    double durUs = 0.0;  ///< span duration ("X" events)
+    Cycles start = 0;    ///< span start / instant cycle
+    Cycles end = 0;      ///< span end cycle ("X" events), >= start
     char ph = 'X';       ///< "X" complete, "i" instant, "M" metadata
     int pid = 0;
     int tid = 0;
     std::string name;
-    std::string cat;
+    const char *cat = "";
     std::string argsJson; ///< pre-rendered JSON object, may be empty
 };
 
 class TraceEmitter
 {
   public:
-    TraceEmitter() = default;
-
-    /** Master switch; see also configure(). */
-    void enable(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
     /**
      * @param sample_every thin high-rate categories to 1-in-N
-     * @param max_events   hard cap; later events are dropped and counted
+     * @param max_events   hard cap on spans and instants; later ones are
+     *                     dropped and counted (lane names are always
+     *                     kept: there is one per viewer lane)
+     * @param clock_ghz    core clock of the run's machine
      */
-    void configure(uint32_t sample_every, size_t max_events);
-
-    /** Cycles-to-microseconds conversion for the current machine. */
-    void setClockGhz(double ghz);
+    explicit TraceEmitter(uint32_t sample_every = 64,
+                          size_t max_events = 1'000'000,
+                          double clock_ghz = 1.0);
 
     /**
-     * Open a fresh timeline for a new simulated machine: subsequent
-     * events are shifted past everything already recorded.
+     * An empty emitter with this one's sampling and cap, for a part of
+     * the run (an event-loop lane) that append() moves back here.
      */
-    void newTimeline(const std::string &label);
+    TraceEmitter
+    fork() const
+    {
+        return TraceEmitter(sampleEvery_, maxEvents_);
+    }
 
     /** 1-in-N admission test for high-rate categories. */
     bool
@@ -94,40 +95,52 @@ class TraceEmitter
     void instant(const char *cat, std::string name, int pid, int tid,
                  Cycles at_cycle, std::string args_json = "");
 
-    /** Name a process/thread lane in the viewer (emitted lazily once). */
+    /** Name a process/thread lane in the viewer (recorded once). */
     void processName(int pid, const std::string &name);
     void threadName(int pid, int tid, const std::string &name);
 
     /**
-     * Serialize as a Chrome trace JSON document
-     * {"traceEvents": [...], ...}; events are emitted sorted by
-     * timestamp so consumers see a monotone stream.
+     * Move @p other's events to the end of this one, under this one's
+     * cap, and add up the drop counts. @p other is spent.
      */
-    void write(std::ostream &os) const;
+    void append(TraceEmitter &&other);
+
+    /**
+     * Keep only the first @p n spans and instants, counting the rest as
+     * dropped; lane names stay. Returns the number kept.
+     */
+    size_t keepFirst(size_t n);
 
     size_t numEvents() const { return events_.size(); }
     size_t droppedEvents() const { return dropped_; }
-    void clear();
 
   private:
-    bool admit();
-    double tsUs(Cycles c) const { return offsetUs_ + usPerCycle_ * c; }
+    friend size_t writeTrace(std::ostream &os,
+                             const std::vector<TraceEmitter> &runs,
+                             size_t max_events);
+
     void push(TraceEvent ev);
 
-    bool enabled_ = false;
-    uint32_t sampleEvery_ = 64;
+    uint32_t sampleEvery_;
     uint64_t tick_ = 0;
-    size_t maxEvents_ = 1'000'000;
+    size_t maxEvents_;
+    size_t kept_ = 0; ///< spans and instants in events_
     size_t dropped_ = 0;
-    double usPerCycle_ = 1e-3; // 1 GHz default
-    double offsetUs_ = 0.0;
-    double maxTsUs_ = 0.0;
+    double usPerCycle_;
     std::vector<TraceEvent> events_;
     std::set<std::pair<int, int>> namedLanes_;
 };
 
-/** The process-wide emitter (owned by the telemetry Session). */
-TraceEmitter &tracer();
+/**
+ * Merge @p runs, in order, into one Chrome trace JSON document
+ * {"traceEvents": [...], ...} on @p os. Each run starts 50 us past the
+ * latest end recorded before it; a lane named by an earlier run keeps
+ * that name; only the first @p max_events events are kept. Metadata
+ * comes first, then events sorted by timestamp, so consumers see a
+ * monotone stream. Returns the number of events dropped in all.
+ */
+size_t writeTrace(std::ostream &os, const std::vector<TraceEmitter> &runs,
+                  size_t max_events);
 
 } // namespace telemetry
 } // namespace ladm

@@ -8,13 +8,17 @@
  */
 
 #include <cstdlib>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <set>
+#include <sstream>
 
 #include "config/presets.hh"
 #include "core/experiment.hh"
 #include "sched/kernel_wide.hh"
 #include "sched/shard_map.hh"
 #include "sim/gpu_system.hh"
+#include "telemetry/session.hh"
 #include "workloads/registry.hh"
 
 namespace ladm
@@ -238,6 +242,59 @@ TEST(ShardDeterminism, FirstTouchRemoteCellPinned)
     EXPECT_DOUBLE_EQ(m[1].l1HitRate, m[0].l1HitRate);
     EXPECT_DOUBLE_EQ(m[1].l2HitRate, m[0].l2HitRate);
     EXPECT_EQ(m[1].classAccesses, m[0].classAccesses);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(ShardedEngine, TracedRunStaysShardedAndShardCountFree)
+{
+    // Each lane records its TB and stall spans into its own buffer, so
+    // --trace-out no longer forces the serial loop, and the lanes merge
+    // in node order: 2 and 4 shards write the same document.
+    const std::string dir = ::testing::TempDir();
+    TelemetryOptions opts;
+    opts.traceOutPath = dir + "ladm_sharded_trace.json";
+    opts.statsCsvPath = dir + "ladm_sharded_stats.csv";
+    std::string trace[2];
+    uint64_t tbs = 0;
+    const int shard_counts[2] = {2, 4};
+    for (int i = 0; i < 2; ++i) {
+        telemetry::session().resetForTest();
+        telemetry::session().configure(opts);
+        tbs = runSharded("VecAdd", 1.0, shard_counts[i]).tbCount;
+        telemetry::session().finalize();
+        telemetry::session().resetForTest();
+        trace[i] = readFile(opts.traceOutPath);
+        EXPECT_NE(readFile(opts.statsCsvPath)
+                      .find(",engine.pdes.fallback_reason,gauge,0\n"),
+                  std::string::npos)
+            << "shards " << shard_counts[i] << " fell back to serial";
+    }
+    ASSERT_FALSE(trace[0].empty());
+    EXPECT_TRUE(trace[0] == trace[1]);
+
+    // Exactly one "tb<id>" span per threadblock of the launch.
+    std::set<long> ids;
+    size_t spans = 0;
+    const std::string key = "{\"name\":\"tb";
+    for (size_t at = trace[0].find(key); at != std::string::npos;
+         at = trace[0].find(key, at + 1)) {
+        ++spans;
+        ids.insert(std::strtol(trace[0].c_str() + at + key.size(),
+                               nullptr, 10));
+    }
+    ASSERT_GT(tbs, 0u);
+    EXPECT_EQ(spans, tbs);
+    EXPECT_EQ(ids.size(), tbs);
+    EXPECT_EQ(*ids.begin(), 0);
+    EXPECT_EQ(*ids.rbegin(), static_cast<long>(tbs) - 1);
 }
 
 /**

@@ -210,14 +210,6 @@ TEST(SweepRunner, BadNumbersAreConfigErrorsNamingTheirSource)
     unsetenv("LADM_BENCH_JOBS");
 }
 
-TEST(SweepRunner, TracingForcesSerialExecution)
-{
-    setenv("LADM_TRACE_OUT", "/tmp/ladm_trace_test.json", 1);
-    EXPECT_EQ(core::SweepRunner::resolveJobs(8), 1);
-    unsetenv("LADM_TRACE_OUT");
-    EXPECT_EQ(core::SweepRunner::resolveJobs(8), 8);
-}
-
 TEST(SweepRunner, RecordsEveryRunInTelemetrySession)
 {
     telemetry::session().resetForTest();

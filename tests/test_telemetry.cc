@@ -35,6 +35,7 @@ using telemetry::Snapshot;
 using telemetry::StatRegistry;
 using telemetry::TraceEmitter;
 using telemetry::validateJson;
+using telemetry::writeTrace;
 
 // --- StatGroup (common/stats) -------------------------------------------
 
@@ -260,10 +261,9 @@ timestampsOf(const std::string &doc)
 
 TEST(TraceEmitter, MonotoneOrderingAndWellNesting)
 {
-    TraceEmitter tr;
-    tr.enable(true);
-    tr.configure(/*sample_every=*/1, /*max_events=*/1000);
-    tr.setClockGhz(1.0); // 1 cycle == 1 ns == 1e-3 us
+    // 1 GHz: 1 cycle == 1 ns == 1e-3 us.
+    TraceEmitter tr(/*sample_every=*/1, /*max_events=*/1000,
+                    /*clock_ghz=*/1.0);
 
     // Emit out of order and nested: child span inside a parent span.
     tr.complete("tb", "parent", 1, 0, 100, 500);
@@ -272,7 +272,7 @@ TEST(TraceEmitter, MonotoneOrderingAndWellNesting)
     tr.processName(1, "node0");
 
     std::ostringstream os;
-    tr.write(os);
+    EXPECT_EQ(writeTrace(os, {tr}, 1000), 0u);
     const std::string doc = os.str();
     std::string err;
     ASSERT_TRUE(validateJson(doc, &err)) << err << "\n" << doc;
@@ -310,37 +310,63 @@ TEST(TraceEmitter, MonotoneOrderingAndWellNesting)
 
 TEST(TraceEmitter, SamplingCapAndTimelines)
 {
-    TraceEmitter tr;
-    tr.enable(true);
-    tr.configure(/*sample_every=*/4, /*max_events=*/10);
-
+    TraceEmitter tr(/*sample_every=*/4, /*max_events=*/10);
     int admitted = 0;
     for (int i = 0; i < 32; ++i)
         if (tr.sampleTick())
             ++admitted;
     EXPECT_EQ(admitted, 8); // exactly 1-in-4
+    // A fork starts its own 1-in-N phase: its first tick is admitted.
+    EXPECT_TRUE(tr.fork().sampleTick());
 
+    // The cap counts spans and instants; lane names are always kept.
     for (Cycles c = 0; c < 40; ++c)
         tr.instant("x", "e", 0, 0, c);
-    EXPECT_EQ(tr.numEvents(), 10u);
+    tr.processName(0, "late name");
+    EXPECT_EQ(tr.numEvents(), 11u);
     EXPECT_EQ(tr.droppedEvents(), 30u);
+    EXPECT_EQ(tr.keepFirst(4), 4u);
+    EXPECT_EQ(tr.numEvents(), 5u);
+    EXPECT_EQ(tr.droppedEvents(), 36u);
 
-    // A fresh timeline shifts past everything already recorded.
-    tr.clear();
-    tr.instant("x", "a", 0, 0, 1000);
-    tr.newTimeline("second");
-    tr.instant("x", "b", 0, 0, 0);
+    // Each run's timeline starts 50 us past everything merged before it,
+    // so "b" at cycle 0 renders after "a" at cycle 1000 (1 us at 1 GHz).
+    TraceEmitter a, b;
+    a.instant("x", "a", 0, 0, 1000);
+    b.instant("x", "b", 0, 0, 0);
     std::ostringstream os;
-    tr.write(os);
+    writeTrace(os, {a, b}, 100);
     const std::vector<double> ts = timestampsOf(os.str());
-    ASSERT_EQ(ts.size(), 3u);
-    EXPECT_GT(ts.back(), ts.front()); // "b" at cycle 0 renders after "a"
+    ASSERT_EQ(ts.size(), 2u);
+    EXPECT_DOUBLE_EQ(ts.front(), 51.0);
+    EXPECT_DOUBLE_EQ(ts.back(), 101.0);
 
-    // Disabled emitters record nothing.
-    TraceEmitter off;
-    off.complete("x", "n", 0, 0, 0, 10);
-    off.instant("x", "n", 0, 0, 0);
-    EXPECT_EQ(off.numEvents(), 0u);
+    // A lane named by an earlier run keeps that name, and the merge
+    // keeps the first max_events events over all runs.
+    TraceEmitter r1, r2;
+    r1.processName(1, "node0");
+    r2.processName(1, "node0 again");
+    for (Cycles c = 0; c < 6; ++c) {
+        r1.instant("x", "e", 1, 0, c);
+        r2.instant("x", "e", 1, 0, c);
+    }
+    std::ostringstream merged;
+    EXPECT_EQ(writeTrace(merged, {r1, r2}, 10), 3u);
+    const std::string doc = merged.str();
+    EXPECT_NE(doc.find("\"droppedEvents\":3"), std::string::npos);
+    EXPECT_EQ(doc.find("node0 again"), std::string::npos);
+    EXPECT_EQ(timestampsOf(doc).size(), 10u);
+
+    // A lane's emitter appended to its run lands behind the run's own
+    // events and under the run's cap.
+    TraceEmitter run(/*sample_every=*/1, /*max_events=*/3);
+    TraceEmitter lane = run.fork();
+    run.instant("x", "run", 0, 0, 0);
+    for (Cycles c = 0; c < 4; ++c)
+        lane.complete("tb", "tb", 1, 0, c, c + 1);
+    run.append(std::move(lane));
+    EXPECT_EQ(run.numEvents(), 3u);
+    EXPECT_EQ(run.droppedEvents(), 2u);
 }
 
 // --- CLI flag parsing ---------------------------------------------------
